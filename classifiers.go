@@ -108,7 +108,9 @@ func RunMethod(m Method, source, target *Domain, factory ClassifierFactory) (*Re
 
 // EvaluateMethod runs a method once per standard classifier and
 // aggregates linkage quality against the target's ground truth —
-// exactly the paper's Table 2 protocol. The target must be labelled.
+// exactly the paper's Table 2 protocol. The method's
+// classifier-independent work is prepared once and shared by the
+// classifier runs. The target must be labelled.
 func EvaluateMethod(m Method, source, target *Domain, classifiers []NamedClassifier) (MethodEvaluation, error) {
 	out := MethodEvaluation{Method: m.Name()}
 	if target.Y == nil {
@@ -117,10 +119,13 @@ func EvaluateMethod(m Method, source, target *Domain, classifiers []NamedClassif
 	if len(classifiers) == 0 {
 		classifiers = StandardClassifiers(1)
 	}
-	task := newTask(source, target)
 	start := time.Now()
+	p, err := m.Prepare(newTask(source, target), nil)
+	if err != nil {
+		return out, fmt.Errorf("transer: %s: %w", m.Name(), err)
+	}
 	for _, c := range classifiers {
-		res, err := m.Run(task, c.New)
+		res, err := p.Fit(c.New, nil)
 		if err != nil {
 			return out, fmt.Errorf("transer: %s with %s: %w", m.Name(), c.Name, err)
 		}

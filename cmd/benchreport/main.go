@@ -70,10 +70,12 @@ var phases = map[string]bool{
 	// path's win per layer. They nest under "sel" and also aggregate
 	// into it, like fit/predict under gen/tcl.
 	"sel_dedup": true, "sel_build": true, "sel_query": true,
-	// SEL cache hits (Config.SELCache): counts how many grid cells
-	// skipped selection entirely via the memo.
-	"sel_cache": true,
-	"generate":  true, "block": true, "compare": true, "label": true,
+	// A method's classifier-independent stage, run once per grid cell
+	// (transfer.Method.Prepare), with TCA's and DR's own stages under
+	// it.
+	"prepare": true, "kernel": true, "eigen": true, "project": true,
+	"represent": true, "weight": true, "resample": true,
+	"generate": true, "block": true, "compare": true, "label": true,
 	"request": true,
 	// Query-engine operators (cmd/query -metrics-out): planning plus
 	// the executed plan's Scan → Block → Compare → Score → Filter

@@ -31,15 +31,17 @@ func TestSummarize(t *testing.T) {
 		c.Child("tcl").End()
 		c.End()
 	}
-	// A third cell whose selection came from the memo: its sel span
-	// carries only a sel_cache child (see core.SelectInstances).
-	hit := exp.Child("cell:C")
-	hitSel := hit.Child("sel")
-	hitSel.Child("sel_cache").End()
-	hitSel.End()
-	hit.Child("gen").End()
-	hit.Child("tcl").End()
-	hit.End()
+	// A third cell laid out as the experiment grid records it: one
+	// prepare span holding sel, then a classifier span per fit.
+	split := exp.Child("cell:C")
+	prep := split.Child("prepare")
+	prep.Child("sel").End()
+	prep.End()
+	cls := split.Child("classifier:svm")
+	cls.Child("gen").End()
+	cls.Child("tcl").End()
+	cls.End()
+	split.End()
 	exp.End()
 
 	run := Summarize(obs.BuildReport("experiments", []string{"-exp", "table2"}, tr))
@@ -48,7 +50,7 @@ func TestSummarize(t *testing.T) {
 	}
 	wantCounts := map[string]int{
 		"sel": 3, "gen": 3, "tcl": 3, "fit": 2, "predict": 2,
-		"sel_dedup": 2, "sel_build": 2, "sel_query": 2, "sel_cache": 1,
+		"sel_dedup": 2, "sel_build": 2, "sel_query": 2, "prepare": 1,
 		"generate": 1, "block": 1,
 	}
 	for phase, want := range wantCounts {

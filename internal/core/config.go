@@ -54,14 +54,6 @@ type Config struct {
 	// on the selection (see DESIGN.md §10 for when that is safe).
 	SELMode string
 
-	// SELCache, when non-nil, memoizes SEL selections across runs
-	// with identical inputs (content-addressed; see SelectionCache).
-	// A hit returns bitwise the selection a recompute would produce,
-	// so enabling it never changes output — it only removes the
-	// duplicate SEL work the experiment grids generate by re-running
-	// TransER once per classifier over the same task.
-	SELCache *SelectionCache
-
 	// Obs, when non-nil, is the parent span under which Run records
 	// its SEL/GEN/TCL phase spans (with classifier fit/predict
 	// children) and selection/pseudo-label statistics. Purely

@@ -430,21 +430,7 @@ func SelectInstances(xs [][]float64, ys []int, xt [][]float64, cfg Config) []int
 		}
 		return out
 	}
-	if cfg.SELCache == nil {
-		return newSelector(xs, ys, xt, cfg).selectInstances()
-	}
-	key := selKey(xs, ys, xt, cfg)
-	if sel, ok := cfg.SELCache.get(key); ok {
-		if cfg.Obs != nil {
-			hit := cfg.Obs.Child("sel_cache")
-			hit.SetInt("kept", int64(len(sel)))
-			hit.End()
-		}
-		return sel
-	}
-	sel := newSelector(xs, ys, xt, cfg).selectInstances()
-	cfg.SELCache.put(key, sel)
-	return sel
+	return newSelector(xs, ys, xt, cfg).selectInstances()
 }
 
 // Similarities computes the SEL similarity scores for every source

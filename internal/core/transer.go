@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"transer/internal/ml"
+	"transer/internal/obs"
 	"transer/internal/sampling"
 )
 
@@ -15,7 +16,32 @@ import (
 // feature matrix xt, a classifier factory (fresh instances are trained
 // in the GEN and TCL phases), and the configuration. It returns the
 // final target labels with probabilities and per-phase statistics.
+// Run is Prepare followed by one Fit, both recording under cfg.Obs.
 func Run(xs [][]float64, ys []int, xt [][]float64, factory ml.Factory, cfg Config) (*Result, error) {
+	p, err := Prepare(xs, ys, xt, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Fit(factory, cfg.Obs)
+}
+
+// Prepared is TransER's classifier-independent state for one task: the
+// validated configuration and inputs, and the instances X^U, Y^U the
+// SEL phase transferred. It is read-only after Prepare, so any number
+// of Fit calls may share it, concurrently.
+type Prepared struct {
+	cfg    Config
+	xt, xu [][]float64
+	yu     []int
+	// stats holds the input sizes and the SEL-phase fields every Fit
+	// reports.
+	stats Stats
+}
+
+// Prepare validates the task and runs the SEL phase (lines 1-9 of
+// Algorithm 1), which does not depend on the classifier. Its sel span
+// nests under cfg.Obs.
+func Prepare(xs [][]float64, ys []int, xt [][]float64, cfg Config) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -35,21 +61,14 @@ func Run(xs [][]float64, ys []int, xt [][]float64, factory ml.Factory, cfg Confi
 			return nil, fmt.Errorf("core: target row %d has %d features, source has %d (feature spaces must be homogeneous)", i, len(row), m)
 		}
 	}
-	if factory == nil {
-		return nil, errors.New("core: nil classifier factory")
-	}
 
-	res := &Result{Stats: Stats{
+	p := &Prepared{cfg: cfg, xt: xt, stats: Stats{
 		SourceInstances: len(xs),
 		TargetInstances: len(xt),
 	}}
-	cfg.Obs.SetInt("source_instances", int64(len(xs)))
-	cfg.Obs.SetInt("target_instances", int64(len(xt)))
-
-	// Phase (i): instance selector — lines 1-9 of Algorithm 1. The
-	// selector records its sel_dedup/sel_build/sel_query sub-phases,
-	// which must nest under the sel span, so it runs with a config
-	// whose Obs handle is the sel span itself.
+	// The selector records its sel_dedup/sel_build/sel_query
+	// sub-phases, which must nest under the sel span, so it runs with
+	// a config whose Obs handle is the sel span itself.
 	selSpan := cfg.Obs.Child("sel")
 	selStart := time.Now()
 	selCfg := cfg
@@ -63,25 +82,39 @@ func Run(xs [][]float64, ys []int, xt [][]float64, factory ml.Factory, cfg Confi
 		for i := range xs {
 			selected = append(selected, i)
 		}
-		res.Stats.SelectedFallback = true
+		p.stats.SelectedFallback = true
 	}
-	xu := make([][]float64, len(selected))
-	yu := make([]int, len(selected))
+	p.xu = make([][]float64, len(selected))
+	p.yu = make([]int, len(selected))
 	for i, idx := range selected {
-		xu[i] = xs[idx]
-		yu[i] = ys[idx]
+		p.xu[i] = xs[idx]
+		p.yu[i] = ys[idx]
 	}
-	res.Stats.Selected = len(xu)
-	res.Stats.SelTime = time.Since(selStart)
-	selSpan.SetInt("selected", int64(res.Stats.Selected))
-	selSpan.SetBool("fallback", res.Stats.SelectedFallback)
+	p.stats.Selected = len(p.xu)
+	p.stats.SelTime = time.Since(selStart)
+	selSpan.SetInt("selected", int64(p.stats.Selected))
+	selSpan.SetBool("fallback", p.stats.SelectedFallback)
 	selSpan.End()
+	return p, nil
+}
+
+// Fit runs the GEN and TCL phases (lines 10-20 of Algorithm 1) with
+// fresh classifiers from factory, recording their spans under sp.
+// The result's Stats carry the shared SEL-phase figures.
+func (p *Prepared) Fit(factory ml.Factory, sp *obs.Span) (*Result, error) {
+	if factory == nil {
+		return nil, errors.New("core: nil classifier factory")
+	}
+	cfg, xt := p.cfg, p.xt
+	res := &Result{Stats: p.stats}
+	sp.SetInt("source_instances", int64(res.Stats.SourceInstances))
+	sp.SetInt("target_instances", int64(res.Stats.TargetInstances))
 
 	// Phase (ii): pseudo label generator — lines 10-11.
-	genSpan := cfg.Obs.Child("gen")
+	genSpan := sp.Child("gen")
 	genStart := time.Now()
 	fitSpan := genSpan.Child("fit")
-	cu, err := ml.FitWithFallback(factory, xu, yu)
+	cu, err := ml.FitWithFallback(factory, p.xu, p.yu)
 	fitSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: GEN training failed: %w", err)
@@ -91,8 +124,8 @@ func Run(xs [][]float64, ys []int, xt [][]float64, factory ml.Factory, cfg Confi
 	predictSpan.End()
 	res.PseudoLabels = ml.Labels(proba, 0.5)
 	res.PseudoConfidence = make([]float64, len(proba))
-	for i, p := range proba {
-		res.PseudoConfidence[i] = ml.Confidence(p)
+	for i, pr := range proba {
+		res.PseudoConfidence[i] = ml.Confidence(pr)
 	}
 	res.Stats.GenTime = time.Since(genStart)
 	genSpan.SetInt("pseudo_labels", int64(len(res.PseudoLabels)))
@@ -108,7 +141,7 @@ func Run(xs [][]float64, ys []int, xt [][]float64, factory ml.Factory, cfg Confi
 	}
 
 	// Phase (iii): target domain classifier — lines 12-20.
-	tclSpan := cfg.Obs.Child("tcl")
+	tclSpan := sp.Child("tcl")
 	tclStart := time.Now()
 	var xv [][]float64
 	var yv []int

@@ -111,8 +111,12 @@ func (e *Embedder) Value(s string) []float64 {
 // the element-wise absolute difference of the two value embeddings
 // followed by their cosine similarity, giving Dim+1 features.
 func (e *Embedder) PairFeatures(a, b string) []float64 {
-	va := e.Value(a)
-	vb := e.Value(b)
+	return e.PairFeaturesOf(e.Value(a), e.Value(b))
+}
+
+// PairFeaturesOf is PairFeatures on two already embedded values, for
+// callers that embed each distinct value once.
+func (e *Embedder) PairFeaturesOf(va, vb []float64) []float64 {
 	out := make([]float64, e.Dim+1)
 	var dot, na, nb float64
 	for i := 0; i < e.Dim; i++ {

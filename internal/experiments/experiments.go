@@ -71,15 +71,6 @@ type Options struct {
 	// RunExperiment; direct experiment calls fall back to the tracer
 	// root.
 	span *obs.Span
-
-	// selCache memoizes SEL selections across the experiment's grid
-	// cells: the grid re-runs TransER once per classifier over the
-	// same task, so every cell after the first hits the cache.
-	// withDefaults creates one per experiment call for every engine
-	// except the reference one, which reproduces the seed behavior
-	// verbatim — recomputation included — so benchmarks against it
-	// measure the real baseline cost (DESIGN.md §10).
-	selCache *core.SelectionCache
 }
 
 // store resolves the artifact store an experiment call uses.
@@ -106,9 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Classifiers == nil {
 		o.Classifiers = StandardClassifiers(o.Seed + 1)
-	}
-	if o.selCache == nil && o.SELMode != core.SELModeReference {
-		o.selCache = core.NewSelectionCache()
 	}
 	return o
 }
@@ -207,28 +195,39 @@ func agg(a eval.Aggregate) string {
 	return fmt.Sprintf("%.2f ± %.2f", a.Mean, a.Std)
 }
 
-// evaluateMethod runs one method over the classifier set under the
-// given cell span (nil when tracing is off) and aggregates quality and
-// runtime. Each classifier run gets a child span; TransER runs
-// additionally record their SEL/GEN/TCL phases under it.
+// evaluateMethod prepares one method on the task once, then fits it
+// once per classifier, and aggregates quality over the fits. Under the
+// given cell span (nil when tracing is off) the preparation records a
+// prepare span and each fit a classifier:<name> span, with the
+// method's own stage spans beneath them.
+//
+// The returned runtime is the cost of one classifier run as Table 3
+// reports it: the prepare time plus the mean fit time. Every run needs
+// the prepared state, so each is charged for it in full.
 func evaluateMethod(m transfer.Method, bt builtTask, classifiers []ml.Named, sp *obs.Span) (eval.MetricsAggregate, time.Duration, error) {
-	var runs []eval.Metrics
 	start := time.Now()
+	ps := sp.Child("prepare")
+	p, err := m.Prepare(bt.task, ps)
+	ps.End()
+	if err != nil {
+		return eval.MetricsAggregate{}, 0, fmt.Errorf("%s on %s: %w", m.Name(), bt.name, err)
+	}
+	prepare := time.Since(start)
+	runs := make([]eval.Metrics, 0, len(classifiers))
 	for _, c := range classifiers {
 		cs := sp.Child("classifier:" + c.Name)
-		run := m
-		if te, ok := m.(transfer.TransER); ok {
-			te.Config.Obs = cs
-			run = te
-		}
-		res, err := run.Run(bt.task, c.New)
+		res, err := p.Fit(c.New, cs)
 		cs.End()
 		if err != nil {
 			return eval.MetricsAggregate{}, 0, fmt.Errorf("%s with %s on %s: %w", m.Name(), c.Name, bt.name, err)
 		}
 		runs = append(runs, eval.Evaluate(res.Labels, bt.truthT))
 	}
-	return eval.AggregateMetrics(runs), time.Since(start), nil
+	runtime := prepare
+	if len(classifiers) > 0 {
+		runtime += (time.Since(start) - prepare) / time.Duration(len(classifiers))
+	}
+	return eval.AggregateMetrics(runs), runtime, nil
 }
 
 // sortedKeys returns map keys in sorted order for deterministic output.

@@ -57,13 +57,36 @@ func TestTable2IdenticalWithTracing(t *testing.T) {
 	firstDiff(t, "table2 quality: tracing off vs on", plain, quality(tr))
 
 	// Table2 was called directly (no RunExperiment wrapper), so cell
-	// spans nest under the tracer root; each must carry the TransER
-	// phase spans with their fit/predict children.
+	// spans nest under the tracer root. Each holds one prepare span,
+	// with the method's own stages beneath it, then one classifier span
+	// per fit; TransER's classifier spans hold its GEN and TCL phases.
 	exp := tr.Root()
+	stages := map[string][]string{
+		"TransER": {"sel"},
+		"TCA":     {"kernel", "eigen", "project"},
+		"DR":      {"represent", "weight", "resample"},
+	}
 	var cells int
 	for _, c := range exp.Children() {
-		if strings.HasPrefix(c.Name(), "cell:") {
-			cells++
+		if !strings.HasPrefix(c.Name(), "cell:") {
+			continue
+		}
+		cells++
+		method := c.Name()[strings.LastIndex(c.Name(), "/")+1:]
+		kids := c.Children()
+		if len(kids) != 1+len(tiny().Classifiers) || kids[0].Name() != "prepare" {
+			t.Fatalf("%s: children %v, want prepare then one classifier span per fit", c.Name(), spanNames(kids))
+		}
+		if got, want := spanNames(kids[0].Children()), stages[method]; strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("%s: prepare stages %v, want %v", c.Name(), got, want)
+		}
+		for _, k := range kids[1:] {
+			if !strings.HasPrefix(k.Name(), "classifier:") {
+				t.Errorf("%s: unexpected span %s after prepare", c.Name(), k.Name())
+			}
+			if method == "TransER" && (k.Find("gen") == nil || k.Find("tcl") == nil) {
+				t.Errorf("%s: %s lacks the gen/tcl phases: %v", c.Name(), k.Name(), spanNames(k.Children()))
+			}
 		}
 	}
 	if cells == 0 {

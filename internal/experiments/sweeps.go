@@ -37,7 +37,6 @@ func Figure6(opts Options) ([]SweepRow, error) {
 		cfg := core.DefaultConfig()
 		cfg.Workers = opts.Workers
 		cfg.SELMode = opts.SELMode
-		cfg.SELCache = opts.selCache
 		sp := expSpan.Child(fmt.Sprintf("cell:%s/frac=%.2f", bt.name, frac))
 		q, _, err := evaluateMethod(transERMethod(cfg), sub, opts.Classifiers, sp)
 		sp.End()
@@ -110,7 +109,6 @@ func Figure7(opts Options) ([]SweepRow, error) {
 		cfg := core.DefaultConfig()
 		cfg.Workers = opts.Workers
 		cfg.SELMode = opts.SELMode
-		cfg.SELCache = opts.selCache
 		sw.apply(&cfg, c.value)
 		sp := expSpan.Child(fmt.Sprintf("cell:%s/%s=%.2f", bt.name, sw.name, c.value))
 		q, _, err := evaluateMethod(transERMethod(cfg), bt, opts.Classifiers, sp)
@@ -160,7 +158,6 @@ func Table4(opts Options) (*Table, error) {
 		cfg := v.cfg
 		cfg.Workers = opts.Workers
 		cfg.SELMode = opts.SELMode
-		cfg.SELCache = opts.selCache
 		sp := expSpan.Child("cell:" + bt.name + "/" + v.name)
 		q, _, err := evaluateMethod(transERMethod(cfg), bt, opts.Classifiers, sp)
 		sp.End()

@@ -18,7 +18,8 @@ type MethodRow struct {
 	Task    string
 	Method  string
 	Quality eval.MetricsAggregate
-	// Runtime is the mean wall-clock per classifier run (Table 3).
+	// Runtime is the wall-clock cost of one classifier run (Table 3):
+	// the method's prepare time plus its mean fit time.
 	Runtime time.Duration
 	// Err records methods that failed on this task (reported like the
 	// paper's ME/TE entries).
@@ -42,7 +43,7 @@ var ErrResourceLimit = errors.New("experiments: resource limit (paper: TE/ME)")
 // selector, so their cells are identical across modes by construction.
 func methods(opts Options) []transfer.Method {
 	ms := []transfer.Method{
-		transfer.TransER{Config: core.Config{SELMode: opts.SELMode, SELCache: opts.selCache}},
+		transfer.TransER{Config: core.Config{SELMode: opts.SELMode}},
 		transfer.Naive{},
 	}
 	if !opts.SkipSlow {
@@ -75,9 +76,10 @@ func demographicTask(name string) bool {
 // opts.Workers goroutines; each cell writes to its pre-assigned row
 // slot, keeping the row order and every quality number identical to a
 // serial run. Only the Table 3 wall-clock column varies, as it always
-// has. Methods carry no mutable state (Run reads the shared task and
-// seeds its own randomness from the method's fixed Seed), so sharing
-// a builtTask across cells is safe.
+// has. Methods carry no mutable state (Prepare reads the shared task
+// and seeds its own randomness from the method's fixed Seed), so
+// sharing a builtTask across cells is safe. Each cell prepares its
+// method once and fits it once per classifier (see evaluateMethod).
 func Table2(opts Options) (*Table2Result, error) {
 	opts = opts.withDefaults()
 	st := opts.store()
@@ -113,7 +115,7 @@ func Table2(opts Options) (*Table2Result, error) {
 		q, rt, err := evaluateMethod(m, bt, cls, sp)
 		sp.End()
 		res.Rows[cell] = MethodRow{Task: bt.name, Method: m.Name(), Quality: q,
-			Runtime: rt / time.Duration(len(cls)), Err: err}
+			Runtime: rt, Err: err}
 	})
 	return res, nil
 }

@@ -22,7 +22,11 @@ func EigenSym(a *Matrix) (values []float64, vectors *Matrix) {
 		return nil, NewMatrix(0, 0)
 	}
 	m := a.Clone()
-	v := Identity(n)
+	d := m.Data
+	// vt holds the eigenvector accumulator transposed: row p of vt is
+	// column p of V, so rotating columns p and q of V is a sweep over
+	// two contiguous rows.
+	vt := Identity(n).Data
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := m.MaxAbsOffDiag()
@@ -31,12 +35,12 @@ func EigenSym(a *Matrix) (values []float64, vectors *Matrix) {
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := m.At(p, q)
+				apq := d[p*n+q]
 				if math.Abs(apq) < 1e-15 {
 					continue
 				}
-				app := m.At(p, p)
-				aqq := m.At(q, q)
+				app := d[p*n+p]
+				aqq := d[q*n+q]
 				// Compute the Jacobi rotation that zeroes a_pq.
 				theta := (aqq - app) / (2 * apq)
 				var t float64
@@ -47,26 +51,17 @@ func EigenSym(a *Matrix) (values []float64, vectors *Matrix) {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				s := t * c
-				// Apply rotation to rows/cols p and q of m.
-				for k := 0; k < n; k++ {
-					akp := m.At(k, p)
-					akq := m.At(k, q)
-					m.Set(k, p, c*akp-s*akq)
-					m.Set(k, q, s*akp+c*akq)
+				// Apply rotation to columns p and q of m, then to rows
+				// p and q.
+				for k := p; k < len(d); k += n {
+					akp := d[k]
+					akq := d[k+q-p]
+					d[k] = c*akp - s*akq
+					d[k+q-p] = s*akp + c*akq
 				}
-				for k := 0; k < n; k++ {
-					apk := m.At(p, k)
-					aqk := m.At(q, k)
-					m.Set(p, k, c*apk-s*aqk)
-					m.Set(q, k, s*apk+c*aqk)
-				}
+				rotateRows(d[p*n:(p+1)*n], d[q*n:(q+1)*n], c, s)
 				// Accumulate eigenvectors.
-				for k := 0; k < n; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
-				}
+				rotateRows(vt[p*n:(p+1)*n], vt[q*n:(q+1)*n], c, s)
 			}
 		}
 	}
@@ -77,18 +72,30 @@ func EigenSym(a *Matrix) (values []float64, vectors *Matrix) {
 	}
 	pairs := make([]pair, n)
 	for i := 0; i < n; i++ {
-		pairs[i] = pair{m.At(i, i), i}
+		pairs[i] = pair{d[i*n+i], i}
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].val > pairs[j].val })
 	values = make([]float64, n)
 	vectors = NewMatrix(n, n)
 	for j, p := range pairs {
 		values[j] = p.val
-		for i := 0; i < n; i++ {
-			vectors.Set(i, j, v.At(i, p.idx))
+		col := vt[p.idx*n : (p.idx+1)*n]
+		for i, x := range col {
+			vectors.Data[i*n+j] = x
 		}
 	}
 	return values, vectors
+}
+
+// rotateRows applies the Jacobi rotation (c, s) to the row pair
+// (rp, rq): rp ← c·rp − s·rq and rq ← s·rp + c·rq, element by element.
+func rotateRows(rp, rq []float64, c, s float64) {
+	rq = rq[:len(rp)]
+	for k, x := range rp {
+		y := rq[k]
+		rp[k] = c*x - s*y
+		rq[k] = s*x + c*y
+	}
 }
 
 // SymPow returns Aᵖ for a symmetric positive semi-definite A computed

@@ -79,24 +79,60 @@ func CheckResult(t TB, name string, res *transfer.Result, nTarget int) {
 	}
 }
 
-// CheckMethod runs the method twice on the task and asserts the shared
-// output invariants plus run-to-run determinism — seeded methods must
-// be pure functions of (task, factory, config).
-func CheckMethod(t TB, m transfer.Method, task *transfer.Task, factory ml.Factory) {
-	res, err := m.Run(task, factory)
+// CheckMethod asserts the shared output invariants for every
+// classifier, and that the two-stage split is exact: one Prepared,
+// fitted with the classifiers in forward order and then in reverse
+// order, must reproduce bit for bit what a fresh Run gives for each
+// classifier. Seeded methods must be pure functions of (task, factory,
+// config), and a Prepared must carry no state from one fit to the next.
+func CheckMethod(t TB, m transfer.Method, task *transfer.Task, classifiers []ml.Named) {
+	fresh := make([]*transfer.Result, len(classifiers))
+	for i, c := range classifiers {
+		res, err := m.Run(task, c.New)
+		if err != nil {
+			t.Errorf("%s with %s: %v", m.Name(), c.Name, err)
+			return
+		}
+		CheckResult(t, m.Name()+" with "+c.Name, res, len(task.XT))
+		fresh[i] = res
+	}
+	p, err := m.Prepare(task, nil)
 	if err != nil {
-		t.Errorf("%s: %v", m.Name(), err)
+		t.Errorf("%s: prepare: %v", m.Name(), err)
 		return
 	}
-	CheckResult(t, m.Name(), res, len(task.XT))
-	again, err := m.Run(task, factory)
-	if err != nil {
-		t.Errorf("%s: second run failed: %v", m.Name(), err)
-		return
+	order := make([]int, 0, 2*len(classifiers))
+	for i := range classifiers {
+		order = append(order, i)
 	}
-	if !testkit.EqualInts(res.Labels, again.Labels) || !testkit.EqualFloats(res.Proba, again.Proba) {
-		t.Errorf("%s: two runs on identical inputs disagree", m.Name())
+	for i := len(classifiers) - 1; i >= 0; i-- {
+		order = append(order, i)
 	}
+	for n, i := range order {
+		res, err := p.Fit(classifiers[i].New, nil)
+		if err != nil {
+			t.Errorf("%s: fit %d (%s) of a shared Prepared: %v", m.Name(), n, classifiers[i].Name, err)
+			return
+		}
+		if !SameResult(res, fresh[i]) {
+			t.Errorf("%s: fit %d (%s) of a shared Prepared differs from a fresh Run", m.Name(), n, classifiers[i].Name)
+			return
+		}
+	}
+}
+
+// SameResult reports whether two results carry bitwise-identical
+// labels and probabilities.
+func SameResult(a, b *transfer.Result) bool {
+	if !testkit.EqualInts(a.Labels, b.Labels) || len(a.Proba) != len(b.Proba) {
+		return false
+	}
+	for i := range a.Proba {
+		if math.Float64bits(a.Proba[i]) != math.Float64bits(b.Proba[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckTransER runs core.Run and asserts the framework's bookkeeping

@@ -3,6 +3,7 @@ package transfer
 import (
 	"transer/internal/linalg"
 	"transer/internal/ml"
+	"transer/internal/obs"
 )
 
 // Coral implements CORrelation ALignment (Sun, Feng, Saenko 2016):
@@ -20,8 +21,9 @@ type Coral struct {
 // Name implements Method.
 func (Coral) Name() string { return "Coral" }
 
-// Run implements Method.
-func (c Coral) Run(t *Task, factory ml.Factory) (*Result, error) {
+// Prepare implements Method: the alignment matrix and the aligned
+// source rows.
+func (c Coral) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -42,9 +44,10 @@ func (c Coral) Run(t *Task, factory ml.Factory) (*Result, error) {
 	for i := range aligned {
 		aligned[i] = alignedRows.Row(i)
 	}
-	clf, err := ml.FitWithFallback(factory, aligned, t.YS)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromProba(clf.PredictProba(t.XT)), nil
+	return trainingSet{x: aligned, y: t.YS, xt: t.XT}, nil
+}
+
+// Run implements Method.
+func (c Coral) Run(t *Task, factory ml.Factory) (*Result, error) {
+	return run(c, t, factory, nil)
 }

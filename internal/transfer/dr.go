@@ -9,6 +9,7 @@ import (
 	"transer/internal/embed"
 	"transer/internal/kdtree"
 	"transer/internal/ml"
+	"transer/internal/obs"
 )
 
 // DR implements the Reuse-and-Adaptation baseline of Thirumuruganathan
@@ -44,8 +45,10 @@ type DR struct {
 // Name implements Method.
 func (DR) Name() string { return "DR" }
 
-// Run implements Method.
-func (c DR) Run(t *Task, factory ml.Factory) (*Result, error) {
+// Prepare implements Method: the embedding representation, the
+// density-ratio instance weights and the weighted resample, in stage
+// spans represent, weight and resample under sp.
+func (c DR) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,23 +66,10 @@ func (c DR) Run(t *Task, factory ml.Factory) (*Result, error) {
 	if wk == 0 {
 		wk = 5
 	}
-	emb := embed.New(dim, c.SubwordWeight, c.Seed)
 
-	represent := func(a, b *dataset.Database, pairs []dataset.Pair) [][]float64 {
-		m := a.Schema.NumAttributes()
-		out := make([][]float64, len(pairs))
-		for i, p := range pairs {
-			ra, rb := a.Records[p.A], b.Records[p.B]
-			row := make([]float64, 0, m*(dim+1))
-			for q := 0; q < m; q++ {
-				row = append(row, emb.PairFeatures(ra.Values[q], rb.Values[q])...)
-			}
-			out[i] = row
-		}
-		return out
-	}
-	zs := represent(t.SourceA, t.SourceB, t.SourcePairs)
-	zt := represent(t.TargetA, t.TargetB, t.TargetPairs)
+	stage := sp.Child("represent")
+	zs, zt := c.represent(t, dim)
+	stage.End()
 
 	// Instance weighting: approximate the density ratio p_T(x)/p_S(x)
 	// per source instance by the ratio of its kNN distances within the
@@ -87,6 +77,7 @@ func (c DR) Run(t *Task, factory ml.Factory) (*Result, error) {
 	// weight), then resample the source proportionally. Densities are
 	// estimated against subsampled reference sets: exact k-NN in the
 	// high-dimensional embedding space costs a linear scan per query.
+	stage = sp.Child("weight")
 	maxRef := c.MaxWeightRef
 	if maxRef == 0 {
 		maxRef = 2000
@@ -126,20 +117,55 @@ func (c DR) Run(t *Task, factory ml.Factory) (*Result, error) {
 			weights[i] = w
 		}
 	}
+	stage.End()
+
 	// The weighted resample also caps the training set: instance
 	// weighting needs a representative sample, not every row, and
 	// tree ensembles on the wide embedding space are expensive.
+	stage = sp.Child("resample")
 	trainCap := len(zs)
 	if trainCap > 4*maxRef {
 		trainCap = 4 * maxRef
 	}
 	rx, ry := resampleWeightedN(zs, t.YS, weights, c.Seed, trainCap)
+	stage.End()
+	return trainingSet{x: rx, y: ry, xt: zt}, nil
+}
 
-	clf, err := ml.FitWithFallback(factory, rx, ry)
-	if err != nil {
-		return nil, err
+// Run implements Method.
+func (c DR) Run(t *Task, factory ml.Factory) (*Result, error) {
+	return run(c, t, factory, nil)
+}
+
+// represent maps the source and target record pairs to their
+// distributed representation: per attribute, the embedder's pair
+// features of the two values. Records recur across candidate pairs,
+// so each distinct attribute value is embedded once.
+func (c DR) represent(t *Task, dim int) (zs, zt [][]float64) {
+	emb := embed.New(dim, c.SubwordWeight, c.Seed)
+	values := map[string][]float64{}
+	value := func(s string) []float64 {
+		v, ok := values[s]
+		if !ok {
+			v = emb.Value(s)
+			values[s] = v
+		}
+		return v
 	}
-	return resultFromProba(clf.PredictProba(zt)), nil
+	rows := func(a, b *dataset.Database, pairs []dataset.Pair) [][]float64 {
+		m := a.Schema.NumAttributes()
+		out := make([][]float64, len(pairs))
+		for i, p := range pairs {
+			ra, rb := a.Records[p.A], b.Records[p.B]
+			row := make([]float64, 0, m*(dim+1))
+			for q := 0; q < m; q++ {
+				row = append(row, emb.PairFeaturesOf(value(ra.Values[q]), value(rb.Values[q]))...)
+			}
+			out[i] = row
+		}
+		return out
+	}
+	return rows(t.SourceA, t.SourceB, t.SourcePairs), rows(t.TargetA, t.TargetB, t.TargetPairs)
 }
 
 // subsampleRows picks at most max rows without replacement.

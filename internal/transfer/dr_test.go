@@ -1,10 +1,13 @@
 package transfer
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"transer/internal/datagen"
+	"transer/internal/dataset"
+	"transer/internal/embed"
 )
 
 // TestDRMisalignedPairsError: DR re-embeds raw record pairs, so pair
@@ -42,4 +45,38 @@ func TestDRSeedDeterminism(t *testing.T) {
 			t.Fatalf("row %d: %v vs %v across identically seeded runs", i, a.Proba[i], b.Proba[i])
 		}
 	}
+}
+
+// TestDRRepresentMemoBitwise: DR embeds each distinct attribute value
+// once and reuses the vector across every pair it occurs in. The
+// memoized representation must equal embedding every pair's values
+// afresh, bit for bit.
+func TestDRRepresentMemoBitwise(t *testing.T) {
+	task, _ := domainTask(datagen.DBLPACM(0.05), datagen.DBLPScholar(0.05))
+	c := DR{Seed: 5}
+	const dim = 8
+	zs, zt := c.represent(task, dim)
+	emb := embed.New(dim, c.SubwordWeight, c.Seed)
+	check := func(side string, got [][]float64, a, b *dataset.Database, pairs []dataset.Pair) {
+		if len(got) != len(pairs) {
+			t.Fatalf("%s: %d rows for %d pairs", side, len(got), len(pairs))
+		}
+		for i, p := range pairs {
+			ra, rb := a.Records[p.A], b.Records[p.B]
+			var want []float64
+			for q := range ra.Values {
+				want = append(want, emb.PairFeatures(ra.Values[q], rb.Values[q])...)
+			}
+			if len(got[i]) != len(want) {
+				t.Fatalf("%s row %d: %d features, want %d", side, i, len(got[i]), len(want))
+			}
+			for j := range want {
+				if math.Float64bits(got[i][j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s row %d feature %d: %v, fresh embedding gives %v", side, i, j, got[i][j], want[j])
+				}
+			}
+		}
+	}
+	check("source", zs, task.SourceA, task.SourceB, task.SourcePairs)
+	check("target", zt, task.TargetA, task.TargetB, task.TargetPairs)
 }

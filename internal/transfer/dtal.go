@@ -3,6 +3,7 @@ package transfer
 import (
 	"transer/internal/ml"
 	"transer/internal/ml/nn"
+	"transer/internal/obs"
 )
 
 // DTAL implements the DTAL* baseline: the deep transfer component of
@@ -32,8 +33,10 @@ type DTAL struct {
 // Name implements Method.
 func (DTAL) Name() string { return "DTAL*" }
 
-// Run implements Method.
-func (c DTAL) Run(t *Task, _ ml.Factory) (*Result, error) {
+// Prepare implements Method. DTAL* carries its own model, so all of
+// its work — the adversarial training and the target predictions — is
+// classifier-independent and happens here.
+func (c DTAL) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,5 +49,19 @@ func (c DTAL) Run(t *Task, _ ml.Factory) (*Result, error) {
 	if err := d.FitDomains(t.XS, t.YS, t.XT); err != nil {
 		return nil, err
 	}
-	return resultFromProba(d.PredictProba(t.XT)), nil
+	return dtalPrepared(d.PredictProba(t.XT)), nil
+}
+
+// Run implements Method.
+func (c DTAL) Run(t *Task, factory ml.Factory) (*Result, error) {
+	return run(c, t, factory, nil)
+}
+
+// dtalPrepared holds DTAL*'s target probabilities; every fit returns
+// them, whatever the factory.
+type dtalPrepared []float64
+
+// Fit implements Prepared.
+func (p dtalPrepared) Fit(ml.Factory, *obs.Span) (*Result, error) {
+	return resultFromProba(append([]float64(nil), p...)), nil
 }

@@ -7,6 +7,7 @@ import (
 	"transer/internal/kdtree"
 	"transer/internal/ml"
 	"transer/internal/ml/svm"
+	"transer/internal/obs"
 )
 
 // LocIT implements the instance-selection part of Localized Instance
@@ -81,8 +82,9 @@ func cov(points [][]float64, nbr []kdtree.Neighbour, centre []float64) []float64
 	return out
 }
 
-// Run implements Method.
-func (c LocIT) Run(t *Task, factory ml.Factory) (*Result, error) {
+// Prepare implements Method: the selector SVM and the source rows it
+// transfers.
+func (c LocIT) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,11 +158,12 @@ func (c LocIT) Run(t *Task, factory ml.Factory) (*Result, error) {
 		// Selection collapsed — the degenerate 0.00 outcome.
 		return allZero(len(t.XT)), nil
 	}
-	clf, err := ml.FitWithFallback(factory, selX, selY)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromProba(clf.PredictProba(t.XT)), nil
+	return trainingSet{x: selX, y: selY, xt: t.XT}, nil
+}
+
+// Run implements Method.
+func (c LocIT) Run(t *Task, factory ml.Factory) (*Result, error) {
+	return run(c, t, factory, nil)
 }
 
 func allSameInt(y []int) bool {

@@ -1,6 +1,9 @@
 package transfer
 
-import "transer/internal/ml"
+import (
+	"transer/internal/ml"
+	"transer/internal/obs"
+)
 
 // Naive trains the supplied classifier on the full labelled source and
 // applies it unchanged to the target — no transfer learning. It is the
@@ -10,14 +13,15 @@ type Naive struct{}
 // Name implements Method.
 func (Naive) Name() string { return "Naive" }
 
-// Run implements Method.
-func (Naive) Run(t *Task, factory ml.Factory) (*Result, error) {
+// Prepare implements Method: the training set is the source as is.
+func (Naive) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	c, err := ml.FitWithFallback(factory, t.XS, t.YS)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromProba(c.PredictProba(t.XT)), nil
+	return trainingSet{x: t.XS, y: t.YS, xt: t.XT}, nil
+}
+
+// Run implements Method.
+func (c Naive) Run(t *Task, factory ml.Factory) (*Result, error) {
+	return run(c, t, factory, nil)
 }

@@ -7,6 +7,7 @@ import (
 
 	"transer/internal/linalg"
 	"transer/internal/ml"
+	"transer/internal/obs"
 )
 
 // TCA implements Transfer Component Analysis (Pan et al., 2011): learn
@@ -42,8 +43,10 @@ type TCA struct {
 // Name implements Method.
 func (TCA) Name() string { return "TCA" }
 
-// Run implements Method.
-func (c TCA) Run(t *Task, factory ml.Factory) (*Result, error) {
+// Prepare implements Method: landmarks and their kernel, the eigen
+// solve, and the projection of the source and target rows, in stage
+// spans kernel, eigen and project under sp.
+func (c TCA) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -69,6 +72,8 @@ func (c TCA) Run(t *Task, factory ml.Factory) (*Result, error) {
 	}
 
 	// Landmark selection: an even split of source and target rows.
+	stage := sp.Child("kernel")
+	defer func() { stage.End() }()
 	rng := rand.New(rand.NewSource(c.Seed))
 	half := maxL / 2
 	srcIdx := subsample(rng, len(t.XS), half)
@@ -100,6 +105,9 @@ func (c TCA) Run(t *Task, factory ml.Factory) (*Result, error) {
 			k.Set(j, i, v)
 		}
 	}
+
+	stage.End()
+	stage = sp.Child("eigen")
 
 	// MMD coefficient matrix L.
 	l := linalg.NewMatrix(n, n)
@@ -155,6 +163,9 @@ func (c TCA) Run(t *Task, factory ml.Factory) (*Result, error) {
 		return nil, fmt.Errorf("tca: back solve failed: %w", err)
 	}
 
+	stage.End()
+	stage = sp.Child("project")
+
 	// Project any row through its landmark kernel vector.
 	project := func(rows [][]float64) [][]float64 {
 		out := make([][]float64, len(rows))
@@ -175,13 +186,12 @@ func (c TCA) Run(t *Task, factory ml.Factory) (*Result, error) {
 		}
 		return out
 	}
-	zs := project(t.XS)
-	zt := project(t.XT)
-	clf, err := ml.FitWithFallback(factory, zs, t.YS)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromProba(clf.PredictProba(zt)), nil
+	return trainingSet{x: project(t.XS), y: t.YS, xt: project(t.XT)}, nil
+}
+
+// Run implements Method.
+func (c TCA) Run(t *Task, factory ml.Factory) (*Result, error) {
+	return run(c, t, factory, nil)
 }
 
 func subsample(rng *rand.Rand, n, k int) []int {

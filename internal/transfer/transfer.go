@@ -11,6 +11,7 @@ import (
 
 	"transer/internal/dataset"
 	"transer/internal/ml"
+	"transer/internal/obs"
 )
 
 // Task bundles everything a transfer method may need for one
@@ -81,13 +82,66 @@ type Result struct {
 }
 
 // Method is one transfer approach usable by the experiment harness.
+//
+// A method runs in two stages. Prepare does the work that does not
+// depend on the downstream classifier (a learned projection, instance
+// weights or a selection) once per task; the Prepared it returns then
+// trains and predicts once per classifier. Run is the two stages back
+// to back, so a Prepare followed by any number of Fits gives, fit for
+// fit, exactly the results of as many Runs.
 type Method interface {
 	// Name is the display name used in result tables.
 	Name() string
-	// Run labels the target instances of the task. The factory
-	// supplies the downstream ER classifier for methods that train
-	// one; methods with built-in models (DTAL*) ignore it.
+	// Prepare validates the task and does the method's
+	// classifier-independent work on it. The method's stage spans nest
+	// under sp, which may be nil.
+	Prepare(t *Task, sp *obs.Span) (Prepared, error)
+	// Run labels the target instances of the task: Prepare, then one
+	// Fit with factory. Methods with built-in models (DTAL*) ignore
+	// the factory.
 	Run(t *Task, factory ml.Factory) (*Result, error)
+}
+
+// Prepared is a method's classifier-independent state for one task.
+// It is read-only: Fit may be called any number of times, also
+// concurrently, and each call returns fresh result slices.
+type Prepared interface {
+	// Fit trains the downstream ER classifier the factory supplies
+	// and labels the target, recording its spans under sp (which may
+	// be nil).
+	Fit(factory ml.Factory, sp *obs.Span) (*Result, error)
+}
+
+// run is the one Run every method shares: Prepare, then Fit, both
+// recording under sp.
+func run(m Method, t *Task, factory ml.Factory, sp *obs.Span) (*Result, error) {
+	p, err := m.Prepare(t, sp)
+	if err != nil {
+		return nil, err
+	}
+	return p.Fit(factory, sp)
+}
+
+// trainingSet is the Prepared of every baseline that ends in one
+// plain classifier: the (transformed, weighted or selected) source
+// rows it trains on and the target rows it labels.
+type trainingSet struct {
+	x  [][]float64
+	y  []int
+	xt [][]float64
+}
+
+// Fit implements Prepared.
+func (s trainingSet) Fit(factory ml.Factory, sp *obs.Span) (*Result, error) {
+	fit := sp.Child("fit")
+	clf, err := ml.FitWithFallback(factory, s.x, s.y)
+	fit.End()
+	if err != nil {
+		return nil, err
+	}
+	predict := sp.Child("predict")
+	defer predict.End()
+	return resultFromProba(clf.PredictProba(s.xt)), nil
 }
 
 // resultFromProba converts probabilities to a Result with 0.5
@@ -96,9 +150,12 @@ func resultFromProba(proba []float64) *Result {
 	return &Result{Labels: ml.Labels(proba, 0.5), Proba: proba}
 }
 
-// allZero returns a degenerate all-non-match result (used when a
-// method's instance selection collapses, mirroring LocIT*'s 0.00
-// entries in the paper's Table 2).
-func allZero(n int) *Result {
-	return &Result{Labels: make([]int, n), Proba: make([]float64, n)}
+// allZero is the Prepared of a method whose instance selection
+// collapsed: every fit labels all n target rows a non-match, mirroring
+// LocIT*'s 0.00 entries in the paper's Table 2.
+type allZero int
+
+// Fit implements Prepared.
+func (n allZero) Fit(ml.Factory, *obs.Span) (*Result, error) {
+	return &Result{Labels: make([]int, n), Proba: make([]float64, n)}, nil
 }

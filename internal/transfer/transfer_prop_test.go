@@ -4,13 +4,14 @@ package transfer_test
 // run on shared generated domains and checked against the invariants
 // any correct implementation satisfies — output sizes, probability
 // bounds, label/probability consistency at the 0.5 threshold, and
-// run-to-run determinism. The raw-data DR baseline is covered by its
-// own unit tests (dr_test.go), since it rejects feature-only tasks by
-// design.
+// fits of one shared Prepared equal to fresh runs. The raw-data DR
+// baseline rejects feature-only tasks by design; prepared_test.go runs
+// the oracle over all seven methods on a raw-data task.
 
 import (
 	"testing"
 
+	"transer/internal/experiments"
 	"transer/internal/ml/tree"
 	"transer/internal/testkit"
 	"transer/internal/testkit/oracle"
@@ -21,12 +22,12 @@ import (
 // domains. Trials are few but each covers all methods on the same
 // domain, which is the point of a differential check.
 func TestMethodsSatisfyOracle(t *testing.T) {
-	factory := tree.Factory(tree.Config{Seed: 1})
+	classifiers := experiments.StandardClassifiers(1)
 	testkit.Run(t, "transfer/differential-oracle", 4, func(pt *testkit.T) {
 		d := testkit.NewDomain(pt.Rng, pt.Size)
 		task := oracle.Task(d)
 		for _, m := range oracle.Methods(7) {
-			oracle.CheckMethod(pt, m, task, factory)
+			oracle.CheckMethod(pt, m, task, classifiers)
 			if pt.Failed() {
 				return
 			}
