@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short vet race check golden bench experiments fuzz cover cover-check profile report model serve bench-serve bench-sel bench-query bench-stream bench-repo
+.PHONY: build test test-short vet race check golden bench experiments fuzz cover cover-check profile report model serve bench-serve bench-query bench-stream bench-repo
 
 build:
 	$(GO) build ./...
@@ -115,26 +115,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVectorKey$$' -fuzztime $(FUZZTIME) ./internal/kdtree/
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestRecord$$' -fuzztime $(FUZZTIME) ./internal/stream/
 	$(GO) test -run '^$$' -fuzz '^FuzzArtifactDecode$$' -fuzztime $(FUZZTIME) ./internal/model/
-
-# SEL-engine benchmark: the table 2 pipeline once per engine, each run
-# condensed into one BENCH_sel.json entry via cmd/benchreport. Compare
-# the per-run sel / sel_dedup / sel_build / sel_query phase totals to
-# see what each layer buys; DESIGN.md §10 records the contract that the
-# exact engines must not change the rendered output while doing so.
-#   make bench-sel SEL_SCALE=0.5
-SEL_SCALE ?= 0.5
-SEL_OUT ?= BENCH_sel.json
-bench-sel:
-	@mkdir -p .bench-sel
-	@for mode in reference dedup exact approx; do \
-		echo "== table2 @ $(SEL_SCALE), sel-mode=$$mode"; \
-		$(GO) run ./cmd/experiments -exp table2 -scale $(SEL_SCALE) -skip-slow \
-			-sel-mode $$mode -metrics-out .bench-sel/sel-$$mode.json >/dev/null || exit 1; \
-	done
-	$(GO) run ./cmd/benchreport -note "make bench-sel: table2 -skip-slow at scale $(SEL_SCALE), sel-mode reference/dedup/exact/approx" \
-		.bench-sel/sel-reference.json .bench-sel/sel-dedup.json \
-		.bench-sel/sel-exact.json .bench-sel/sel-approx.json > $(SEL_OUT)
-	@echo "wrote $(SEL_OUT)"
 
 # Query-engine benchmark: one batch similarity join per blocking
 # strategy (auto plus the three forced operators) at serial and full

@@ -66,9 +66,8 @@ var phases = map[string]bool{
 	"sel": true, "gen": true, "tcl": true,
 	"fit": true, "predict": true,
 	// SEL sub-phases (DESIGN.md §10): the selector's dedup, index
-	// build and query stages, so BENCH_sel.json can attribute the fast
-	// path's win per layer. They nest under "sel" and also aggregate
-	// into it, like fit/predict under gen/tcl.
+	// build and query stages. They nest under "sel" and also
+	// aggregate into it, like fit/predict under gen/tcl.
 	"sel_dedup": true, "sel_build": true, "sel_query": true,
 	// A method's classifier-independent stage, run once per grid cell
 	// (transfer.Method.Prepare), with TCA's and DR's own stages under

@@ -59,7 +59,6 @@ func run() error {
 		seed       = flag.Int64("seed", 1, "random seed")
 		skipSlow   = flag.Bool("skip-slow", false, "skip the slowest baseline (DTAL*)")
 		workers    = flag.Int("workers", 0, "max worker goroutines (0 = one per CPU, 1 = serial)")
-		selMode    = flag.String("sel-mode", "", "TransER SEL engine: exact|dedup|reference|approx (default exact; all but approx render identical results)")
 		cacheStats = flag.Bool("cache-stats", false, "report artifact store hits/misses/bytes after the run")
 		metricsOut = flag.String("metrics-out", "", "write a JSON run report (spans + metrics) to `file`")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to `file`")
@@ -88,7 +87,7 @@ func run() error {
 	store.Instrument(tr)
 	opts := experiments.Options{
 		Scale: *scale, Seed: *seed, SkipSlow: *skipSlow,
-		Workers: *workers, SELMode: *selMode, Store: store, Obs: tr,
+		Workers: *workers, Store: store, Obs: tr,
 	}
 
 	ran := false

@@ -70,7 +70,6 @@ func run() error {
 		b          = flag.Float64("b", 3, "non-match : match balance ratio")
 		seed       = flag.Int64("seed", 0, "seed for under-sampling and stochastic classifiers")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = one per CPU; results identical for any value)")
-		selMode    = flag.String("sel-mode", "", "SEL engine: exact|dedup|reference|approx (default exact; all but approx select identically)")
 		modelOut   = flag.String("model-out", "", "export the trained classifier as a transer.model/v1 artifact to `file`")
 		metricsOut = flag.String("metrics-out", "", "write a JSON run report (spans + metrics) to `file`")
 		logOut     = flag.String("log-out", "", "write structured JSONL event logs to `file` (\"-\" or \"stderr\" for stderr; empty = logging disabled)")
@@ -152,7 +151,6 @@ func run() error {
 	cfg := transer.DefaultConfig()
 	cfg.TC, cfg.TL, cfg.TP, cfg.K, cfg.B = *tc, *tl, *tp, *k, *b
 	cfg.Seed, cfg.Workers = *seed, *workers
-	cfg.SELMode = *selMode
 	runSpan := tr.Root().Child("transfer")
 	cfg.Obs = runSpan
 	res, err := transer.Transfer(source, target, transer.WithConfig(cfg))

@@ -51,7 +51,7 @@ func (s *KMV) AddHash(h uint64) {
 	s.addMixed(mix64(h))
 }
 
-// mix64 is the splitmix64 finaliser (the same one vecToken uses).
+// mix64 is the splitmix64 finaliser.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

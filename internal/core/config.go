@@ -44,16 +44,6 @@ type Config struct {
 	// execution. Results are identical for every worker count.
 	Workers int
 
-	// SELMode selects the SEL nearest-neighbour engine. The empty
-	// string and SELModeExact run the default fast path (unique-vector
-	// dedup over the flattened k-d tree); SELModeDedup and
-	// SELModeReference run the earlier engines. All three produce
-	// bitwise-identical selections — the exactness contract of
-	// DESIGN.md §10 — and differ only in speed. SELModeApprox trades
-	// exactness for LSH-driven candidate search with a bounded effect
-	// on the selection (see DESIGN.md §10 for when that is safe).
-	SELMode string
-
 	// Obs, when non-nil, is the parent span under which Run records
 	// its SEL/GEN/TCL phase spans (with classifier fit/predict
 	// children) and selection/pseudo-label statistics. Purely
@@ -81,40 +71,6 @@ type Config struct {
 	// TV is the covariance similarity threshold used when EnableSimV
 	// is set; 0 means 0.9.
 	TV float64
-}
-
-// SEL engine modes (Config.SELMode). All exact modes select the same
-// instances; they exist so benchmarks can attribute the fast path's
-// win per layer and differential tests can cross-check the layers
-// against each other.
-const (
-	// SELModeExact (the default) deduplicates feature vectors and
-	// answers instance-level k-NN with one weighted query per unique
-	// vector over a flattened k-d tree. Exact: bitwise-identical to
-	// SELModeReference.
-	SELModeExact = "exact"
-	// SELModeDedup deduplicates feature vectors but still queries the
-	// original pointer-based per-instance tree — the dedup layer in
-	// isolation. Exact.
-	SELModeDedup = "dedup"
-	// SELModeReference is the original selector: one (k+1)-NN pointer-
-	// tree query per distinct (vector, label) group. The baseline the
-	// exactness contract is stated against.
-	SELModeReference = "reference"
-	// SELModeApprox ranks LSH bucket candidates (MinHash over the
-	// 0.05-quantized vectors, reusing internal/blocking) instead of
-	// searching a tree, falling back to the exact index when buckets
-	// run shallow. Approximate: selections may drift within the
-	// bounds the metamorphic suite enforces.
-	SELModeApprox = "approx"
-)
-
-// selMode resolves the effective SEL engine.
-func (c Config) selMode() string {
-	if c.SELMode == "" {
-		return SELModeExact
-	}
-	return c.SELMode
 }
 
 // DefaultConfig returns the default parameters: k=7, t_c=0.9,
@@ -149,12 +105,6 @@ func (c Config) Validate() error {
 	}
 	if c.B < 0 {
 		return fmt.Errorf("core: B must be >= 0, got %v", c.B)
-	}
-	switch c.SELMode {
-	case "", SELModeExact, SELModeDedup, SELModeReference, SELModeApprox:
-	default:
-		return fmt.Errorf("core: unknown SELMode %q (want %s|%s|%s|%s)",
-			c.SELMode, SELModeExact, SELModeDedup, SELModeReference, SELModeApprox)
 	}
 	return nil
 }

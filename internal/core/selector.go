@@ -46,8 +46,8 @@ func newSelector(xs [][]float64, ys []int, xt [][]float64, cfg Config) *selector
 }
 
 // ensureTrees lazily builds the per-instance pointer trees used by
-// the reference engines and the diagnostic per-instance API. The fast
-// paths never build them. Not goroutine-safe: call before fanning out.
+// the diagnostic per-instance API (Similarities). selectInstances
+// never builds them. Not goroutine-safe: call before fanning out.
 func (s *selector) ensureTrees() {
 	if s.srcTree == nil {
 		s.srcTree = kdtree.Build(s.xs)
@@ -153,114 +153,20 @@ func (s *selector) accepted(sims InstanceSimilarities) bool {
 // Real linkage feature matrices contain heavily repeated vectors
 // (Table 1 of the paper counts them), and the SEL similarities depend
 // on an instance only through its feature vector, its label and its
-// self-exclusion from the source KNN query. Every engine therefore
-// deduplicates before querying; they differ in what they deduplicate
-// and what index answers the queries (DESIGN.md §10):
+// self-exclusion from the source KNN query. The selector therefore
+// groups rows by exact vector equality (kdtree.Uniq) and answers
+// instance-level k-NN with one query per unique vector over weighted
+// flattened trees of both domains (kdtree.WeightedIndex), so a
+// duplicate group costs one point instead of being re-scanned by every
+// query (DESIGN.md §10). decideVector turns each vector's
+// neighbourhoods into per-row decisions bitwise-identical to the
+// per-instance definition.
 //
-//   - reference: group by (vector, label), one (k+1)-NN pointer-tree
-//     query per group (the original selector, kept as the oracle);
-//   - dedup: group by vector only — the same pointer-tree query also
-//     serves every label class sharing the vector;
-//   - exact (default): group by vector and replace the per-instance
-//     pointer trees with weighted flattened trees over the unique
-//     vectors, so duplicate groups cost one point each instead of
-//     being re-scanned by every query;
-//   - approx: like exact, but candidates come from MinHash-LSH
-//     buckets over the 0.05-quantized vectors and only the bucket
-//     union is ranked (exact fallback when buckets run shallow).
-//
-// All engines run their query stage in parallel over cfg.Workers and
-// record sel_dedup/sel_build/sel_query sub-spans under cfg.Obs. The
-// three exact engines return bitwise-identical selections; see
-// decideGroup and decideVector for the equivalence arguments.
+// The query stage runs in parallel over cfg.Workers and records
+// sel_dedup/sel_build/sel_query sub-spans under cfg.Obs.
 func (s *selector) selectInstances() []int {
 	keep := make([]bool, len(s.xs))
-	switch s.cfg.selMode() {
-	case SELModeReference:
-		s.selectReference(keep)
-	case SELModeDedup:
-		s.selectDedup(keep)
-	case SELModeApprox:
-		s.selectFlat(keep, true)
-	default:
-		s.selectFlat(keep, false)
-	}
-	out := make([]int, 0, len(keep))
-	for i, k := range keep {
-		if k {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
-// selectReference is the seed engine: distinct (vector, label) groups
-// against the per-instance pointer trees.
-func (s *selector) selectReference(keep []bool) {
-	n := len(s.xs)
-	dedupSpan := s.cfg.Obs.Child("sel_dedup")
-	byKey := make(map[string]*[]int)
-	var order []*[]int
-	var keyBuf []byte
-	for i := 0; i < n; i++ {
-		keyBuf = kdtree.VectorKey(keyBuf[:0], s.xs[i])
-		keyBuf = append(keyBuf, byte('0'+s.ys[i]))
-		k := string(keyBuf)
-		g := byKey[k]
-		if g == nil {
-			g = new([]int)
-			byKey[k] = g
-			order = append(order, g)
-		}
-		*g = append(*g, i)
-	}
-	dedupSpan.SetInt("groups", int64(len(order)))
-	dedupSpan.End()
-
-	buildSpan := s.cfg.Obs.Child("sel_build")
-	s.ensureTrees()
-	buildSpan.End()
-
-	querySpan := s.cfg.Obs.Child("sel_query")
-	parallel.ForEachChunk(s.cfg.Workers, len(order), func(lo, hi int) {
-		for _, g := range order[lo:hi] {
-			s.decideGroup(*g, keep)
-		}
-	})
-	querySpan.End()
-}
-
-// selectDedup isolates the dedup layer: distinct vectors (all label
-// classes of a vector share one query) against the same pointer trees
-// the reference engine uses.
-func (s *selector) selectDedup(keep []bool) {
-	dedupSpan := s.cfg.Obs.Child("sel_dedup")
-	u := kdtree.Uniq(s.xs)
-	dedupSpan.SetInt("groups", int64(u.Len()))
-	dedupSpan.End()
-
-	buildSpan := s.cfg.Obs.Child("sel_build")
-	s.ensureTrees()
-	buildSpan.End()
-
-	k := s.cfg.K
-	querySpan := s.cfg.Obs.Child("sel_query")
-	parallel.ForEachChunk(s.cfg.Workers, u.Len(), func(lo, hi int) {
-		for ui := lo; ui < hi; ui++ {
-			v := u.Vecs[ui]
-			cand := s.srcTree.KNN(v, k+1, nil)
-			nnT := s.tgtTree.KNN(v, k, nil)
-			s.decideVector(u.Members[ui], cand, nnT, keep)
-		}
-	})
-	querySpan.End()
-}
-
-// selectFlat is the fast path: distinct vectors against weighted
-// flattened trees over the unique vectors of both domains. With
-// approx set, candidate search goes through the LSH index instead
-// (still exactly re-ranked, with exact fallback).
-func (s *selector) selectFlat(keep []bool, approx bool) {
 	dedupSpan := s.cfg.Obs.Child("sel_dedup")
 	uS := kdtree.Uniq(s.xs)
 	uT := kdtree.Uniq(s.xt)
@@ -271,11 +177,6 @@ func (s *selector) selectFlat(keep []bool, approx bool) {
 	buildSpan := s.cfg.Obs.Child("sel_build")
 	ixS := kdtree.NewWeightedIndex(uS)
 	ixT := kdtree.NewWeightedIndex(uT)
-	var lshS, lshT *approxIndex
-	if approx {
-		lshS = newApproxIndex(ixS, s.cfg.Seed)
-		lshT = newApproxIndex(ixT, s.cfg.Seed+1)
-	}
 	buildSpan.End()
 
 	k := s.cfg.K
@@ -283,27 +184,38 @@ func (s *selector) selectFlat(keep []bool, approx bool) {
 	parallel.ForEachChunk(s.cfg.Workers, uS.Len(), func(lo, hi int) {
 		for ui := lo; ui < hi; ui++ {
 			v := uS.Vecs[ui]
-			var cand, nnT []kdtree.Neighbour
-			if approx {
-				cand = lshS.knn(v, k+1)
-				nnT = lshT.knn(v, k)
-			} else {
-				cand = ixS.KNN(v, k+1)
-				nnT = ixT.KNN(v, k)
-			}
-			s.decideVector(uS.Members[ui], cand, nnT, keep)
+			s.decideVector(uS.Members[ui], ixS.KNN(v, k+1), ixT.KNN(v, k), keep)
 		}
 	})
 	querySpan.End()
+
+	out := make([]int, 0, len(keep))
+	for i, kept := range keep {
+		if kept {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // decideVector writes the SEL decision for every original row sharing
 // one feature vector, given the vector's (k+1)-candidate source
-// window and target neighbourhood. Rows with equal vectors but
-// different labels form independent (vector, label) classes; each
-// class resolves by exactly decideGroup's logic (see its equivalence
-// argument), so a vector costs at most two sims evaluations per label
-// class regardless of its multiplicity.
+// window cand and its k-NN target neighbourhood nnT, both in canonical
+// (distance, id) order.
+//
+// Exactness: the per-instance definition (similaritiesFor) takes, for
+// row i, the k nearest source rows in canonical order with i itself
+// excluded. Querying k+1 candidates once without exclusion makes that
+// derivable for every member: if i is among the k+1 candidates its
+// neighbour set is the remaining k; otherwise it is the first k
+// (dropping i from the tail changes nothing). The sims depend on
+// neighbours only through coordinates and labels, and the members of
+// one (vector, label) class share both, so swapping one in-candidate
+// member for another is invisible. Each label class therefore has at
+// most two distinct outcomes — members inside the candidate window
+// and members beyond it — and each is computed once, whatever the
+// vector's multiplicity. Rows with equal vectors but different labels
+// form independent classes.
 func (s *selector) decideVector(members []int32, cand, nnT []kdtree.Neighbour, keep []bool) {
 	k := s.cfg.K
 	type classDecision struct {
@@ -357,62 +269,6 @@ func (s *selector) decideVector(members []int32, cand, nnT []kdtree.Neighbour, k
 				dec.haveOut = true
 			}
 			keep[m] = dec.accOut
-		}
-	}
-}
-
-// decideGroup writes the SEL decision for every member of one
-// duplicate (vector, label) group into keep.
-//
-// The per-instance reference takes, for instance i, the k nearest
-// source candidates in canonical (distance, id) order with i itself
-// excluded. Querying k+1 candidates once without exclusion makes that
-// derivable for every member: if i is among the k+1 candidates its
-// neighbour set is the remaining k; otherwise it is the first k
-// (dropping i from the tail changes nothing). The sims depend on
-// neighbours only through coordinates and labels, and group members
-// share both, so swapping one in-candidate member for another is
-// invisible — at most two distinct outcomes exist per group (members
-// inside the candidate window and members beyond it), and each is
-// computed once.
-func (s *selector) decideGroup(members []int, keep []bool) {
-	x := s.xs[members[0]]
-	k := s.cfg.K
-	cand := s.srcTree.KNN(x, k+1, nil)
-	nnT := s.tgtTree.KNN(x, k, nil)
-
-	inCand := func(id int) bool {
-		for _, c := range cand {
-			if c.ID == id {
-				return true
-			}
-		}
-		return false
-	}
-	var accIn, accOut, haveIn, haveOut bool
-	for _, m := range members {
-		if inCand(m) {
-			if !haveIn {
-				nnS := make([]kdtree.Neighbour, 0, len(cand)-1)
-				for _, c := range cand {
-					if c.ID != m {
-						nnS = append(nnS, c)
-					}
-				}
-				accIn = s.accepted(s.simsFrom(m, nnS, nnT))
-				haveIn = true
-			}
-			keep[m] = accIn
-		} else {
-			if !haveOut {
-				nnS := cand
-				if len(nnS) > k {
-					nnS = nnS[:k]
-				}
-				accOut = s.accepted(s.simsFrom(m, nnS, nnT))
-				haveOut = true
-			}
-			keep[m] = accOut
 		}
 	}
 }

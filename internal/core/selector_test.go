@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"transer/internal/kdtree"
+	"transer/internal/testkit"
 )
 
 // referenceSelect is the direct per-instance implementation of the SEL
@@ -58,6 +59,37 @@ func quantizedProblem(n, m int, seed int64) (xs [][]float64, ys []int, xt [][]fl
 	return
 }
 
+// dupHeavyProblem builds a duplicate-heavy grid problem with labels
+// assigned independently of vectors, so identical vectors carry
+// conflicting labels — the regime where the selector's per-vector
+// group decision is easiest to get wrong.
+func dupHeavyProblem(pt *testkit.T) (xs [][]float64, ys []int, xt [][]float64, cfg Config) {
+	n := 3*pt.Size + 12
+	m := 2 + pt.Rng.Intn(3)
+	xs = testkit.GridMatrix(pt.Rng, n, m)
+	ys = make([]int, n)
+	for i := range ys {
+		ys[i] = pt.Rng.Intn(2)
+	}
+	for k := 0; k < n/3; k++ {
+		xs[pt.Rng.Intn(n)] = xs[pt.Rng.Intn(n)]
+	}
+	xt = testkit.GridMatrix(pt.Rng, n/2+8, m)
+	cfg = Config{
+		K:          []int{3, 5, 7}[pt.Rng.Intn(3)],
+		TC:         []float64{0.5, 0.7, 0.9}[pt.Rng.Intn(3)],
+		TL:         []float64{0.5, 0.7, 0.9}[pt.Rng.Intn(3)],
+		TP:         0.9,
+		B:          3,
+		EnableSimV: pt.Rng.Intn(2) == 0,
+		TV:         0.7,
+		Workers:    1 + pt.Rng.Intn(4),
+	}
+	return xs, ys, xt, cfg
+}
+
+// TestSelectInstancesMatchesReference: the selector returns exactly
+// the per-instance selection, bitwise, on quantized problems.
 func TestSelectInstancesMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		xs, ys, xt := quantizedProblem(150, 3, seed)
@@ -78,6 +110,23 @@ func TestSelectInstancesMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSELModesExactEquivalence: on duplicate-heavy data with
+// conflicting-label duplicates, the selector returns the exact
+// per-instance selection, bitwise, at every worker count.
+func TestSELModesExactEquivalence(t *testing.T) {
+	testkit.Run(t, "selector/modes-exact-equivalence", 20, func(pt *testkit.T) {
+		xs, ys, xt, cfg := dupHeavyProblem(pt)
+		want := referenceSelect(xs, ys, xt, cfg)
+		for _, workers := range []int{cfg.Workers, 1, 4} {
+			cfg.Workers = workers
+			if got := SelectInstances(xs, ys, xt, cfg); !testkit.EqualInts(got, want) {
+				pt.Errorf("kept %v, reference kept %v (cfg=%+v)", got, want, cfg)
+				return
+			}
+		}
+	})
 }
 
 func TestSelectInstancesGroupSharing(t *testing.T) {

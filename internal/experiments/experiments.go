@@ -40,12 +40,6 @@ type Options struct {
 	// SkipSlow drops the slowest baselines (DTAL*) from large tasks,
 	// mirroring the paper's 'TE' entries without burning hours.
 	SkipSlow bool
-	// SELMode selects TransER's SEL engine (core.SELMode* constants;
-	// "" = the default exact fast path). Exact modes render
-	// byte-identical tables — the golden-gate suite enforces it — so
-	// this knob exists for benchmarking the engines against each other
-	// and for opting into approximate selection.
-	SELMode string
 	// Workers bounds the goroutines used for feature-matrix
 	// construction and for fanning out independent experiment grid
 	// cells; 0 means one per CPU, 1 forces serial execution. Every

@@ -1,25 +1,20 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"transer/internal/core"
 	"transer/internal/pipeline"
 	"transer/internal/testkit"
+	"transer/internal/testkit/oracle"
 )
 
-// Differential gate for the switchable SEL engines on the real paper
-// datasets: every exact engine must pick byte-identical training
-// instances on every table 2 task, and the rendered experiment text
-// must not change when the engine does.
-
-// TestSELModesDifferentialOnDatasets runs the SEL phase of every
-// table 2 task under the seed engine (reference), the dedup engine and
-// the flat-tree default, and requires identical selections. Scale 0.25
-// exercises real duplicate distributions; -short drops to 0.05 to keep
-// the unit suite quick.
-func TestSELModesDifferentialOnDatasets(t *testing.T) {
+// TestSelectInstancesMatchesOracleOnDatasets runs the SEL phase of
+// every table 2 task and requires the selection to equal the
+// per-instance oracle (one pointer-tree query per source row, no
+// deduplication). Scale 0.25 exercises real duplicate distributions;
+// -short drops to 0.05 to keep the unit suite quick.
+func TestSelectInstancesMatchesOracleOnDatasets(t *testing.T) {
 	opts := tiny()
 	opts.Scale = 0.25
 	if testing.Short() {
@@ -29,44 +24,11 @@ func TestSELModesDifferentialOnDatasets(t *testing.T) {
 	cfg := core.DefaultConfig()
 	for _, ref := range pipeline.PaperTaskRefs() {
 		bt := buildTask(st, ref, opts)
-		cfg.SELMode = core.SELModeReference
-		want := core.SelectInstances(bt.task.XS, bt.task.YS, bt.task.XT, cfg)
-		for _, mode := range []string{core.SELModeDedup, core.SELModeExact} {
-			cfg.SELMode = mode
-			got := core.SelectInstances(bt.task.XS, bt.task.YS, bt.task.XT, cfg)
-			if !testkit.EqualInts(got, want) {
-				t.Errorf("%s: mode %q selected %d instances, reference selected %d (first diff matters; selections differ)",
-					bt.name, mode, len(got), len(want))
-			}
-		}
-	}
-}
-
-// TestSELModeGoldenGate renders table2, figure6 and figure7 with the
-// seed engine and with the flat-tree default and diffs the normalized
-// text byte for byte — the rendered experiments are the contract the
-// engine swap must not move. Small scale with SkipSlow keeps this a
-// unit test; CI runs it explicitly as the golden gate.
-func TestSELModeGoldenGate(t *testing.T) {
-	base := tiny()
-	base.Scale = 0.05
-	for _, name := range []string{"table2", "figure6", "figure7"} {
-		render := func(mode string) string {
-			opts := base
-			opts.SELMode = mode
-			var buf bytes.Buffer
-			if err := RenderExperiment(&buf, name, opts); err != nil {
-				t.Fatalf("%s with mode %q: %v", name, mode, err)
-			}
-			return normalizeGolden(buf.String())
-		}
-		want := render(core.SELModeReference)
-		got := render(core.SELModeExact)
-		if name == "table2" {
-			got, want = maskRuntimes(got), maskRuntimes(want)
-		}
-		if got != want {
-			t.Errorf("%s: output changed between reference and exact SEL engines", name)
+		want := oracle.SelectInstances(bt.task.XS, bt.task.YS, bt.task.XT, cfg)
+		got := core.SelectInstances(bt.task.XS, bt.task.YS, bt.task.XT, cfg)
+		if !testkit.EqualInts(got, want) {
+			t.Errorf("%s: selected %d instances, per-instance oracle selected %d (selections differ)",
+				bt.name, len(got), len(want))
 		}
 	}
 }

@@ -36,7 +36,6 @@ func Figure6(opts Options) ([]SweepRow, error) {
 		sub := labelFractionTask(bt, frac, opts.Seed+int64(frac*100))
 		cfg := core.DefaultConfig()
 		cfg.Workers = opts.Workers
-		cfg.SELMode = opts.SELMode
 		sp := expSpan.Child(fmt.Sprintf("cell:%s/frac=%.2f", bt.name, frac))
 		q, _, err := evaluateMethod(transERMethod(cfg), sub, opts.Classifiers, sp)
 		sp.End()
@@ -108,7 +107,6 @@ func Figure7(opts Options) ([]SweepRow, error) {
 		sw := sweeps[c.sweep]
 		cfg := core.DefaultConfig()
 		cfg.Workers = opts.Workers
-		cfg.SELMode = opts.SELMode
 		sw.apply(&cfg, c.value)
 		sp := expSpan.Child(fmt.Sprintf("cell:%s/%s=%.2f", bt.name, sw.name, c.value))
 		q, _, err := evaluateMethod(transERMethod(cfg), bt, opts.Classifiers, sp)
@@ -157,7 +155,6 @@ func Table4(opts Options) (*Table, error) {
 		v := variants[cell%len(variants)]
 		cfg := v.cfg
 		cfg.Workers = opts.Workers
-		cfg.SELMode = opts.SELMode
 		sp := expSpan.Child("cell:" + bt.name + "/" + v.name)
 		q, _, err := evaluateMethod(transERMethod(cfg), bt, opts.Classifiers, sp)
 		sp.End()

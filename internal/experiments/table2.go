@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"transer/internal/core"
 	"transer/internal/eval"
 	"transer/internal/parallel"
 	"transer/internal/pipeline"
@@ -38,12 +37,10 @@ type Table2Result struct {
 // reasonable resources. Rendered as "TE" in tables.
 var ErrResourceLimit = errors.New("experiments: resource limit (paper: TE/ME)")
 
-// methods returns the evaluated method set in paper order. Only
-// TransER consumes the SEL mode; the baselines never touch the
-// selector, so their cells are identical across modes by construction.
+// methods returns the evaluated method set in paper order.
 func methods(opts Options) []transfer.Method {
 	ms := []transfer.Method{
-		transfer.TransER{Config: core.Config{SELMode: opts.SELMode}},
+		transfer.TransER{},
 		transfer.Naive{},
 	}
 	if !opts.SkipSlow {

@@ -8,15 +8,18 @@ import "sort"
 // lines per point.
 const flatLeafSize = 16
 
-// Flat is a k-d tree over the same point sets as Tree with a
-// cache-friendly layout: node metadata lives in small parallel arrays
-// and every point's coordinates are copied into one contiguous
-// float64 buffer in tree order, so queries scan leaf blocks linearly
-// instead of chasing per-node point pointers.
+// Flat is a weighted k-d tree with a cache-friendly layout: node
+// metadata lives in small parallel arrays and every point's
+// coordinates are copied into one contiguous float64 buffer in tree
+// order, so queries scan leaf blocks linearly instead of chasing
+// per-node point pointers. Indexed point i stands for Weight(i)
+// coincident instances: KNNWeighted answers instance-level k-NN
+// questions with one query over the deduplicated points (the SEL
+// selector, DESIGN.md §10, through WeightedIndex).
 //
-// Queries are bitwise-identical to Tree.KNN: squared distances
-// accumulate coordinate-by-coordinate in the same order with the same
-// float64 operations, the kept candidate set is canonical under
+// Distances are bitwise-identical to Tree's and BruteKNN's: squared
+// distances accumulate coordinate-by-coordinate in the same order with
+// the same float64 operations, ties resolve canonically under
 // (distance, id), and the far-subtree prune uses the same single-axis
 // diff*diff <= worst test with equality explored. Two classic
 // refinements were tried on the real comparison matrices and
@@ -31,15 +34,10 @@ const flatLeafSize = 16
 // Exactness note: coordinates are stored as float64, not float32.
 // Narrowing the storage would change distance rounding and break the
 // SEL exactness contract (DESIGN.md §10); the win comes from the
-// blocked layout, not reduced precision. The float32 blocked kernel
-// (SqDist32) exists for callers that are explicitly approximate.
+// blocked layout, not reduced precision.
 //
-// Flat additionally supports per-point integer weights, interpreting
-// indexed point i as Weight(i) coincident instances: KNNWeighted
-// answers instance-level k-NN questions with one query over the
-// deduplicated points (the SEL fast path, DESIGN.md §10).
-//
-// The tree is immutable after Build*; queries are goroutine-safe.
+// The tree is immutable after BuildFlatWeighted; queries are
+// goroutine-safe.
 type Flat struct {
 	dim int
 	// Per-node parallel arrays; node 0 is the root. axis < 0 marks a
@@ -56,15 +54,12 @@ type Flat struct {
 	weights []int32
 }
 
-// BuildFlat constructs a flattened k-d tree over points. Coordinates
-// are copied; the input may be mutated afterwards. All points must
-// share the same dimensionality. An empty point set yields a usable
-// empty tree whose queries return no results.
-func BuildFlat(points [][]float64) *Flat { return BuildFlatWeighted(points, nil) }
-
 // BuildFlatWeighted constructs a flattened k-d tree where point i
 // stands for weights[i] coincident instances (every weight must be
-// >= 1). A nil weights slice means all weights are 1.
+// >= 1). A nil weights slice means all weights are 1. Coordinates are
+// copied; the input may be mutated afterwards. All points must share
+// the same dimensionality. An empty point set yields a usable empty
+// tree whose queries return no results.
 func BuildFlatWeighted(points [][]float64, weights []int) *Flat {
 	f := &Flat{}
 	if len(points) == 0 {
@@ -123,115 +118,6 @@ func (f *Flat) buildNode(points [][]float64, perm []int32, lo, hi, depth int) in
 	f.left[id] = l
 	f.right[id] = r
 	return id
-}
-
-// Len returns the number of indexed points.
-func (f *Flat) Len() int { return len(f.ids) }
-
-// Dim returns the dimensionality of the indexed points (0 when empty).
-func (f *Flat) Dim() int { return f.dim }
-
-// kCollector keeps the k lexicographically smallest (distance, id)
-// candidates in a hand-rolled max-heap — the same canonical set
-// Tree.KNN keeps, without container/heap's interface boxing.
-type kCollector struct {
-	h       []Neighbour
-	k       int
-	exclude func(int) bool
-}
-
-func (c *kCollector) add(id int, d2 float64) {
-	if c.exclude != nil && c.exclude(id) {
-		return
-	}
-	n := Neighbour{ID: id, Dist2: d2}
-	if len(c.h) < c.k {
-		c.h = append(c.h, n)
-		// Sift up under (distance, id) max order.
-		i := len(c.h) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !worse(c.h[i], c.h[p]) {
-				break
-			}
-			c.h[i], c.h[p] = c.h[p], c.h[i]
-			i = p
-		}
-		return
-	}
-	if !worse(c.h[0], n) {
-		return
-	}
-	c.h[0] = n
-	c.siftDown()
-}
-
-func (c *kCollector) siftDown() {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(c.h) && worse(c.h[l], c.h[m]) {
-			m = l
-		}
-		if r < len(c.h) && worse(c.h[r], c.h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		c.h[i], c.h[m] = c.h[m], c.h[i]
-		i = m
-	}
-}
-
-// KNN returns the k nearest neighbours of q by Euclidean distance,
-// sorted ascending by (distance, id). Semantics, including the
-// exclude filter and the fewer-than-k case, match Tree.KNN exactly;
-// for equal point sets the result is bitwise identical.
-func (f *Flat) KNN(q []float64, k int, exclude func(id int) bool) []Neighbour {
-	if k <= 0 || len(f.ids) == 0 {
-		return nil
-	}
-	c := kCollector{h: make([]Neighbour, 0, k), k: k, exclude: exclude}
-	f.searchK(0, q, &c)
-	out := c.h
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist2 != out[j].Dist2 {
-			return out[i].Dist2 < out[j].Dist2
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-func (f *Flat) searchK(node int32, q []float64, c *kCollector) {
-	if f.axis[node] < 0 {
-		lo := int(f.start[node])
-		base := lo * f.dim
-		for p := 0; p < int(f.count[node]); p++ {
-			row := f.coords[base+p*f.dim : base+(p+1)*f.dim]
-			s := 0.0
-			for i, v := range q {
-				d := v - row[i]
-				s += d * d
-			}
-			c.add(int(f.ids[lo+p]), s)
-		}
-		return
-	}
-	diff := q[f.axis[node]] - f.split[node]
-	near, far := f.left[node], f.right[node]
-	if diff > 0 {
-		near, far = far, near
-	}
-	f.searchK(near, q, c)
-	// Same prune as Tree.search: explore the far side while candidates
-	// are missing or the splitting plane is at most as far as the
-	// current worst (equality explored so ties resolve canonically).
-	if len(c.h) < c.k || diff*diff <= c.h[0].Dist2 {
-		f.searchK(far, q, c)
-	}
 }
 
 // WeightedNeighbour is one weighted k-NN result: a point covering
@@ -393,33 +279,4 @@ func (f *Flat) searchW(node int32, q []float64, c *wCollector) {
 	if !c.full() || diff*diff <= c.h[0].Dist2 {
 		f.searchW(far, q, c)
 	}
-}
-
-// SqDist exposes the package's canonical squared Euclidean distance:
-// coordinate-ascending accumulation, the exact operation order every
-// exact k-NN path in this package uses.
-func SqDist(a, b []float64) float64 { return sqDist(a, b) }
-
-// SqDist32 is the blocked float32 distance kernel for explicitly
-// approximate callers: four independent accumulators unroll the loop,
-// trading the exact accumulation order (and float64 precision) for
-// speed. Never use it on an exact path.
-func SqDist32(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		s0 += d * d
-	}
-	return (s0 + s1) + (s2 + s3)
 }

@@ -1,10 +1,10 @@
 package kdtree_test
 
-// Differential and property suite for the flattened tree and the
-// unique-vector weighted index (DESIGN.md §10). The contract of both
-// is exact — bitwise equality with the pointer tree / the brute-force
-// scan, (distance, id) ties included — so every assertion compares
-// with ==. Duplicate-heavy inputs come from testkit.GridMatrix plus
+// Differential and property suite for the flattened weighted tree
+// and the unique-vector weighted index (DESIGN.md §10). The contract
+// of both is exact — bitwise equality with the pointer tree and the
+// brute-force scan, (distance, id) ties included — so every assertion
+// compares with ==. Duplicate-heavy inputs come from testkit.GridMatrix plus
 // forced verbatim duplicate groups, the regime the weighted index
 // exists for.
 
@@ -25,9 +25,10 @@ func dupGridMatrix(pt *testkit.T, n, m int) [][]float64 {
 	return pts
 }
 
-// TestFlatKNNMatchesTree: Flat.KNN is bitwise identical to Tree.KNN
-// (and hence BruteKNN) on continuous and grid matrices, with and
-// without exclusion, including k > n and duplicate-heavy inputs.
+// TestFlatKNNMatchesTree: the weighted index over the flattened tree
+// answers instance-level k-NN bitwise identically to the pointer Tree
+// that the per-instance SEL definition queries, on continuous, grid
+// and duplicate-heavy matrices, including k > n.
 func TestFlatKNNMatchesTree(t *testing.T) {
 	testkit.Run(t, "kdtree/flat-vs-tree", 16, func(pt *testkit.T) {
 		n := 3*pt.Size + 8
@@ -42,22 +43,17 @@ func TestFlatKNNMatchesTree(t *testing.T) {
 			pts = dupGridMatrix(pt, n, m)
 		}
 		tree := kdtree.Build(pts)
-		flat := kdtree.BuildFlat(pts)
+		ix := kdtree.NewWeightedIndex(kdtree.Uniq(pts))
 		k := 1 + pt.Rng.Intn(n+2)
-		var exclude func(int) bool
-		if pt.Rng.Intn(2) == 0 {
-			banned := pt.Rng.Intn(n)
-			exclude = func(id int) bool { return id == banned }
-		}
 		for trial := 0; trial < 5; trial++ {
 			q := pts[pt.Rng.Intn(n)]
 			if trial%2 == 0 {
 				q = testkit.Matrix(pt.Rng, 1, m)[0]
 			}
-			got := flat.KNN(q, k, exclude)
-			want := tree.KNN(q, k, exclude)
+			got := ix.KNN(q, k)
+			want := tree.KNN(q, k, nil)
 			if !neighboursEqual(got, want) {
-				pt.Errorf("Flat.KNN(k=%d) disagrees with Tree.KNN:\nflat %v\ntree %v", k, got, want)
+				pt.Errorf("WeightedIndex.KNN(k=%d) disagrees with Tree.KNN:\nflat %v\ntree %v", k, got, want)
 				return
 			}
 		}
@@ -73,7 +69,7 @@ func TestWeightedIndexKNNMatchesBrute(t *testing.T) {
 		n := 3*pt.Size + 8
 		m := 1 + pt.Rng.Intn(4)
 		pts := dupGridMatrix(pt, n, m)
-		ix := kdtree.IndexPoints(pts)
+		ix := kdtree.NewWeightedIndex(kdtree.Uniq(pts))
 		for trial := 0; trial < 4; trial++ {
 			q := pts[pt.Rng.Intn(n)]
 			if trial%2 == 0 {
@@ -116,9 +112,13 @@ func TestKNNWeightedCounts(t *testing.T) {
 		// vector with distance <= D*.
 		all := kdtree.BruteKNN(pts, q, n, nil)
 		dstar := all[k-1].Dist2
+		direct := make([]float64, set.Len())
+		for _, nb := range kdtree.BruteKNN(set.Vecs, q, set.Len(), nil) {
+			direct[nb.ID] = nb.Dist2
+		}
 		wantCover := map[int]int{}
-		for u, v := range set.Vecs {
-			if d := kdtree.SqDist(q, v); d <= dstar {
+		for u := range set.Vecs {
+			if direct[u] <= dstar {
 				wantCover[u] = len(set.Members[u])
 			}
 		}
@@ -133,8 +133,8 @@ func TestKNNWeightedCounts(t *testing.T) {
 				pt.Errorf("group %d: id=%d weight=%d not in expected cover %v", i, g.ID, g.Weight, wantCover)
 				return
 			}
-			if g.Dist2 != kdtree.SqDist(q, set.Vecs[g.ID]) {
-				pt.Errorf("group %d: distance %v differs from direct %v", i, g.Dist2, kdtree.SqDist(q, set.Vecs[g.ID]))
+			if g.Dist2 != direct[g.ID] {
+				pt.Errorf("group %d: distance %v differs from direct %v", i, g.Dist2, direct[g.ID])
 				return
 			}
 			if i > 0 {
@@ -195,30 +195,26 @@ func TestUniqGroups(t *testing.T) {
 	})
 }
 
-// TestFlatEdgeCases pins the degenerate inputs: empty trees, k <= 0,
-// w <= 0, and w covering the whole instance set.
+// TestFlatEdgeCases pins the degenerate inputs of the weighted index:
+// an empty index, k <= 0, and k covering the whole instance set.
 func TestFlatEdgeCases(t *testing.T) {
-	empty := kdtree.BuildFlat(nil)
-	if got := empty.KNN([]float64{1}, 3, nil); got != nil {
-		t.Errorf("empty tree KNN = %v, want nil", got)
+	empty := kdtree.NewWeightedIndex(kdtree.Uniq(nil))
+	if got := empty.KNN([]float64{1}, 3); len(got) != 0 {
+		t.Errorf("empty index KNN = %v, want none", got)
 	}
-	if got := empty.KNNWeighted([]float64{1}, 3); got != nil {
-		t.Errorf("empty tree KNNWeighted = %v, want nil", got)
+	if got := empty.Groups([]float64{1}, 3); got != nil {
+		t.Errorf("empty index Groups = %v, want nil", got)
 	}
 	pts := [][]float64{{0.2, 0.4}, {0.2, 0.4}, {0.8, 0.1}}
-	flat := kdtree.BuildFlat(pts)
-	if got := flat.KNN(pts[0], 0, nil); got != nil {
+	ix := kdtree.NewWeightedIndex(kdtree.Uniq(pts))
+	if got := ix.KNN(pts[0], 0); got != nil {
 		t.Errorf("k=0 KNN = %v, want nil", got)
 	}
-	if got := flat.KNNWeighted(pts[0], 0); got != nil {
-		t.Errorf("w=0 KNNWeighted = %v, want nil", got)
+	if got := ix.Groups(pts[0], 0); got != nil {
+		t.Errorf("k=0 Groups = %v, want nil", got)
 	}
-	if flat.Len() != 3 || flat.Dim() != 2 {
-		t.Errorf("Len/Dim = %d/%d, want 3/2", flat.Len(), flat.Dim())
-	}
-	ix := kdtree.IndexPoints(pts)
 	if got, want := ix.KNN(pts[0], 10), kdtree.BruteKNN(pts, pts[0], 10, nil); !neighboursEqual(got, want) {
-		t.Errorf("w beyond instance count: %v, want %v", got, want)
+		t.Errorf("k beyond instance count: %v, want %v", got, want)
 	}
 	groups := ix.Groups(pts[0], 2)
 	if len(groups) != 1 || groups[0].Weight != 2 {

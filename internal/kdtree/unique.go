@@ -70,7 +70,7 @@ func (s *WeightedSet) Rows() int {
 
 // WeightedIndex answers instance-level k-NN queries over the original
 // matrix with one weighted query over its unique vectors: the SEL
-// fast path's core data structure (DESIGN.md §10). For any query q
+// selector's core data structure (DESIGN.md §10). For any query q
 // and k, KNN returns exactly BruteKNN(points, q, k, nil) — bitwise,
 // including (distance, id) tie order — because duplicate rows are
 // bitwise equal to their unique vector, so per-instance distances are
@@ -89,11 +89,6 @@ func NewWeightedIndex(s *WeightedSet) *WeightedIndex {
 		weights[u] = len(m)
 	}
 	return &WeightedIndex{Set: s, flat: BuildFlatWeighted(s.Vecs, weights)}
-}
-
-// IndexPoints builds the WeightedIndex of a point matrix directly.
-func IndexPoints(points [][]float64) *WeightedIndex {
-	return NewWeightedIndex(Uniq(points))
 }
 
 // Groups returns the distance-closed unique-vector cover of the k

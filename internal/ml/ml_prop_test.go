@@ -6,18 +6,15 @@ package ml_test
 // scale invariance is asserted only for the classifiers whose decision
 // functions are provably scale-free — trees and forests (count-based
 // Gini gains over value *order*, midpoint thresholds that scale
-// exactly) and unweighted k-NN (neighbour order and vote fractions).
-// Multiplication by 2^k is exact in IEEE-754, so those assertions are
-// bitwise, with no tolerances.
+// exactly). Multiplication by 2^k is exact in IEEE-754, so those
+// assertions are bitwise, with no tolerances.
 
 import (
 	"math"
 	"testing"
 
 	"transer/internal/ml"
-	"transer/internal/ml/bayes"
 	"transer/internal/ml/forest"
-	"transer/internal/ml/knn"
 	"transer/internal/ml/logreg"
 	"transer/internal/ml/svm"
 	"transer/internal/ml/tree"
@@ -29,10 +26,8 @@ func factories() map[string]ml.Factory {
 	return map[string]ml.Factory{
 		"tree":   tree.Factory(tree.Config{Seed: 1}),
 		"forest": forest.Factory(forest.Config{NumTrees: 8, Seed: 1}),
-		"knn":    knn.Factory(knn.Config{K: 5}),
 		"svm":    svm.Factory(svm.Config{}),
 		"logreg": logreg.Factory(logreg.Config{}),
-		"bayes":  bayes.Factory(bayes.Config{}),
 	}
 }
 
@@ -42,7 +37,6 @@ func scaleFreeFactories() map[string]ml.Factory {
 	return map[string]ml.Factory{
 		"tree":   tree.Factory(tree.Config{Seed: 1}),
 		"forest": forest.Factory(forest.Config{NumTrees: 8, Seed: 1}),
-		"knn":    knn.Factory(knn.Config{K: 5}),
 	}
 }
 

@@ -27,9 +27,7 @@ import (
 	"transer/internal/core"
 	"transer/internal/dataset"
 	"transer/internal/ml"
-	"transer/internal/ml/bayes"
 	"transer/internal/ml/forest"
-	"transer/internal/ml/knn"
 	"transer/internal/ml/logreg"
 	"transer/internal/ml/nn"
 	"transer/internal/ml/svm"
@@ -88,11 +86,11 @@ type TrainingSpec struct {
 	EnableSimV    bool    `json:"enable_sim_v,omitempty"`
 	TV            float64 `json:"tv,omitempty"`
 
-	// SELMode records which SEL engine selected the training
-	// instances (core.SELMode* values; empty = the default exact fast
-	// path). Exact modes cannot change the artifact, but approximate
-	// selection can, so provenance must say which one ran. Omitted
-	// when empty, keeping artifacts from older exports byte-stable.
+	// SELMode is decode-only: older exports recorded which of several
+	// SEL engines selected the training instances. There is one engine
+	// now and nothing writes the field, but an artifact that carries it
+	// must keep it, because Fingerprint re-encodes the whole struct and
+	// a stored model's identity must not change on load.
 	SELMode string `json:"sel_mode,omitempty"`
 }
 
@@ -103,7 +101,6 @@ func TrainingFromConfig(c core.Config) TrainingSpec {
 		DisableSEL: c.DisableSEL, DisableGENTCL: c.DisableGENTCL,
 		DisableSimC: c.DisableSimC, DisableSimL: c.DisableSimL,
 		EnableSimV: c.EnableSimV, TV: c.TV,
-		SELMode: c.SELMode,
 	}
 }
 
@@ -157,8 +154,6 @@ var classifierFactories = map[string]func() ml.ParamClassifier{
 	"svm":      func() ml.ParamClassifier { return svm.New(svm.Config{}) },
 	"dtree":    func() ml.ParamClassifier { return tree.New(tree.Config{}) },
 	"rf":       func() ml.ParamClassifier { return forest.New(forest.Config{}) },
-	"knn":      func() ml.ParamClassifier { return knn.New(knn.Config{}) },
-	"bayes":    func() ml.ParamClassifier { return bayes.New(bayes.Config{}) },
 	"mlp":      func() ml.ParamClassifier { return nn.NewMLP(nn.MLPConfig{}) },
 }
 

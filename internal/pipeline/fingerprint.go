@@ -18,13 +18,10 @@ import (
 // block fingerprint — so any differing upstream input propagates to
 // every downstream key.
 //
-// TransER's SEL engine choice (core.Config.SELMode) is deliberately
-// absent from every domain-stage key: the selector consumes feature
+// TransER's configuration is deliberately absent from every
+// domain-stage key: the selector and the classifiers consume feature
 // matrices downstream of these artifacts and cannot change them, so
-// runs under different SEL modes share one cached domain build. Where
-// the mode CAN change an output — a trained model artifact under
-// approximate selection — it is incorporated there instead, in
-// model.TrainingSpec.SELMode.
+// every TransER configuration shares one cached domain build.
 type Fingerprint [sha256.Size]byte
 
 // String renders the fingerprint as short hex for diagnostics.

@@ -181,6 +181,33 @@ func CheckTransER(t TB, d testkit.Domain, factory ml.Factory, cfg core.Config) *
 	return res
 }
 
+// SelectInstances is the per-instance SEL oracle: it keeps source row
+// i iff core.Similarities for row i passes the t_c/t_l (and, with
+// +sim_v, t_v) thresholds under cfg's ablation flags, straight from
+// the paper's definition with one pointer-tree query per row and no
+// deduplication. core.SelectInstances must return exactly this.
+func SelectInstances(xs [][]float64, ys []int, xt [][]float64, cfg core.Config) []int {
+	keep := make([]int, 0, len(xs))
+	if cfg.DisableSEL {
+		for i := range xs {
+			keep = append(keep, i)
+		}
+		return keep
+	}
+	tv := cfg.TV
+	if tv == 0 {
+		tv = 0.9
+	}
+	for i, s := range core.Similarities(xs, ys, xt, cfg) {
+		if (cfg.DisableSimC || s.SimC >= cfg.TC) &&
+			(cfg.DisableSimL || s.SimL >= cfg.TL) &&
+			(!cfg.EnableSimV || s.SimV >= tv) {
+			keep = append(keep, i)
+		}
+	}
+	return keep
+}
+
 // CheckSelectionMonotone asserts that raising the SEL thresholds can
 // only shrink the selection: the instances selected under the stricter
 // configuration must be a subset of those selected under the looser

@@ -25,16 +25,13 @@ func (c TransER) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 		return nil, err
 	}
 	cfg := c.Config
-	// The zero-value check must ignore the observability handle and
-	// the SEL engine choice: a Config carrying only those still means
-	// "use the paper defaults" — neither may change which
-	// hyper-parameters run.
-	selMode := cfg.SELMode
-	cfg.Obs, cfg.SELMode = nil, ""
+	// The zero-value check must ignore the observability handle: a
+	// Config carrying only a span still means "use the paper defaults".
+	cfg.Obs = nil
 	if cfg == (core.Config{}) {
 		cfg = core.DefaultConfig()
 	}
-	cfg.Obs, cfg.SELMode = sp, selMode
+	cfg.Obs = sp
 	p, err := core.Prepare(t.XS, t.YS, t.XT, cfg)
 	if err != nil {
 		return nil, err

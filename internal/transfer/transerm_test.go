@@ -46,24 +46,3 @@ func TestTransERZeroConfigUsesDefaults(t *testing.T) {
 		}
 	}
 }
-
-// TestTransERSELModeOnlyKeepsDefaults: a Config that sets nothing but
-// the SEL engine must still run with the paper defaults (the
-// zero-config check has to ignore SELMode the same way it ignores
-// Obs), and an exact engine must not change the result.
-func TestTransERSELModeOnlyKeepsDefaults(t *testing.T) {
-	task, _ := blobTask(140, 70, 0.05, 63)
-	modeOnly, err := TransER{Config: core.Config{SELMode: core.SELModeDedup}}.Run(task, factory())
-	if err != nil {
-		t.Fatalf("mode-only config: %v", err)
-	}
-	explicit, err := core.Run(task.XS, task.YS, task.XT, factory(), core.DefaultConfig())
-	if err != nil {
-		t.Fatalf("default config: %v", err)
-	}
-	for i := range explicit.Proba {
-		if modeOnly.Proba[i] != explicit.Proba[i] {
-			t.Fatalf("row %d: SELMode-only Config %v, DefaultConfig %v", i, modeOnly.Proba[i], explicit.Proba[i])
-		}
-	}
-}
