@@ -116,30 +116,25 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestRecord$$' -fuzztime $(FUZZTIME) ./internal/stream/
 	$(GO) test -run '^$$' -fuzz '^FuzzArtifactDecode$$' -fuzztime $(FUZZTIME) ./internal/model/
 
-# Query-engine benchmark: one batch similarity join per blocking
-# strategy (auto plus the three forced operators) at serial and full
+# Query-engine benchmark: one batch similarity join at serial and full
 # parallelism, each run's operator spans condensed into one
 # BENCH_query.json entry via cmd/benchreport. Compare the per-run
-# block / compare / score phase totals to see where each strategy
-# spends its work; the result sets are identical by the engine's
-# determinism contract (DESIGN.md §11).
+# block / compare / score phase totals; the result sets are identical
+# for every worker count (DESIGN.md §11).
 #   make bench-query QUERY_SCALE=0.3
 QUERY_DATASET ?= DBLP-ACM
 QUERY_SCALE ?= 0.3
 QUERY_OUT ?= BENCH_query.json
 bench-query:
 	@mkdir -p .bench-query
-	@for run in auto-1 auto-0 lsh-0 sn-0 canopy-0; do \
-		block=$${run%-*}; workers=$${run#*-}; \
-		echo "== query $(QUERY_DATASET) @ $(QUERY_SCALE), block=$$block workers=$$workers"; \
+	@for workers in 1 0; do \
+		echo "== query $(QUERY_DATASET) @ $(QUERY_SCALE), workers=$$workers"; \
 		$(GO) run ./cmd/query -dataset $(QUERY_DATASET) -scale $(QUERY_SCALE) \
-			-threshold 0.9 -block $$block -workers $$workers \
-			-out /dev/null -metrics-out .bench-query/query-$$run.json || exit 1; \
+			-threshold 0.9 -workers $$workers \
+			-out /dev/null -metrics-out .bench-query/query-workers-$$workers.json || exit 1; \
 	done
-	$(GO) run ./cmd/benchreport -note "make bench-query: $(QUERY_DATASET) at scale $(QUERY_SCALE), block auto (workers 1/0) then forced lsh/sn/canopy" \
-		.bench-query/query-auto-1.json .bench-query/query-auto-0.json \
-		.bench-query/query-lsh-0.json .bench-query/query-sn-0.json \
-		.bench-query/query-canopy-0.json > $(QUERY_OUT)
+	$(GO) run ./cmd/benchreport -note "make bench-query: $(QUERY_DATASET) at scale $(QUERY_SCALE), workers 1 then 0 (one per CPU)" \
+		.bench-query/query-workers-1.json .bench-query/query-workers-0.json > $(QUERY_OUT)
 	@echo "wrote $(QUERY_OUT)"
 
 # Streaming-store benchmark: replay one builtin pair through the live

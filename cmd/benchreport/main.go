@@ -17,7 +17,7 @@
 // route ("request:match", "request:batch") so the two endpoints stay
 // separable in the summary. Reports from cmd/query contribute the
 // query-engine operator phases (plan, scan, block, compare, score,
-// filter); "block:<strategy>" spans fold into the shared "block"
+// filter); "block:lsh" spans fold into the shared "block"
 // phase. Reports from cmd/stream contribute the streaming phases
 // (ingest, resolve), one span per record, so BENCH_stream.json
 // carries per-record latency as TotalMS / Count.
@@ -78,7 +78,7 @@ var phases = map[string]bool{
 	"request": true,
 	// Query-engine operators (cmd/query -metrics-out): planning plus
 	// the executed plan's Scan → Block → Compare → Score → Filter
-	// stages. Block spans are named "block:<strategy>" and fold into
+	// stages. Block spans are named "block:lsh" and fold into
 	// the shared "block" phase via baseName.
 	"plan": true, "scan": true, "score": true, "filter": true,
 	// Streaming entity store (cmd/stream -metrics-out): one span per

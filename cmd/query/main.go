@@ -1,8 +1,8 @@
 // Command query runs batch similarity-join queries ("all pairs with
-// score ≥ τ") through the planned query engine (internal/query): it
-// collects dataset statistics, compiles the Scan → Block → Compare →
-// Score → Filter → Limit plan, and executes it over the deterministic
-// worker pool.
+// score ≥ τ") through the query engine (internal/query): it compiles
+// the Scan → Block → Compare → Score → Filter → Limit plan, blocking
+// with MinHash-LSH, and executes it over the deterministic worker
+// pool.
 //
 // Usage:
 //
@@ -10,7 +10,6 @@
 //	query -a a.csv -b b.csv -model model.json                # linkage, model-scored
 //	query -a a.csv                                           # dedup self-join
 //	query -a a.csv -b b.csv -explain                         # print the plan, don't run
-//	query -a a.csv -b b.csv -block sn                        # force a strategy
 //	query -a a.csv -b b.csv -sim name=smith_waterman         # swap a comparator
 //
 // Inputs are either a built-in generated dataset pair (-dataset with
@@ -19,9 +18,11 @@
 // -b for dedup). With -model the pair is scored by a transer.model/v1
 // artifact exactly as cmd/serve would score it and the threshold
 // defaults to the model's decision threshold; without it, scores are
-// mean feature similarity. -block forces a blocking strategy — any
-// choice yields the same result set, only the work to find it changes.
-// -explain prints the EXPLAIN plan rendering and skips execution.
+// mean feature similarity. Blocking is MinHash-LSH, the candidate
+// relation training, the streaming store and repository signatures
+// share, so a pair LSH does not propose is never scored: recall is
+// bounded by blocking recall (DESIGN.md §11). -explain prints the
+// EXPLAIN plan rendering and skips execution.
 //
 // Output (-format json|csv, -out file or stdout) is byte-identical for
 // every -workers value. -metrics-out writes a transer.obs.report/v1
@@ -87,7 +88,6 @@ func run() error {
 		modelPath  = flag.String("model", "", "score with a transer.model/v1 artifact instead of mean feature similarity")
 		threshold  = flag.Float64("threshold", -1, "keep pairs with score >= threshold (default: the model's decision threshold, or 0.85 without -model)")
 		limit      = flag.Int("limit", 0, "cap returned matches in deterministic index order (0 = unlimited)")
-		blockFlag  = flag.String("block", "auto", "blocking strategy: auto|lsh|sn|canopy (forcing changes the work, never the result)")
 		format     = flag.String("format", "json", "output format: json|csv")
 		outPath    = flag.String("out", "", "write results to `file` (default stdout)")
 		explain    = flag.Bool("explain", false, "print the EXPLAIN plan rendering and skip execution")
@@ -107,16 +107,13 @@ func run() error {
 	})
 	flag.Parse()
 
-	force, err := query.ParseStrategy(*blockFlag)
-	if err != nil {
-		return err
-	}
 	if *format != "json" && *format != "csv" {
 		return fmt.Errorf("unknown -format %q (want json or csv)", *format)
 	}
 
-	job := query.Job{Limit: *limit, Force: force, Workers: *workers, Comparators: sims}
+	job := query.Job{Limit: *limit, Workers: *workers, Comparators: sims}
 
+	var err error
 	switch {
 	case *datasetKey != "" && *aPath != "":
 		return errors.New("-dataset and -a are mutually exclusive")
@@ -188,7 +185,6 @@ func run() error {
 		return err
 	}
 	logger.Info(runCtx, "query.plan",
-		obs.FStr("strategy", plan.Block.Strategy.String()),
 		obs.FStr("scorer", plan.Scorer),
 		obs.FFloat("threshold", job.Threshold))
 
@@ -213,8 +209,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "query: %s: %d candidates, %d matches at threshold %v\n",
-		plan.Block.Strategy, res.Candidates, res.Kept, job.Threshold)
+	fmt.Fprintf(os.Stderr, "query: %d candidates, %d matches at threshold %v\n",
+		res.Candidates, res.Kept, job.Threshold)
 	logger.Info(runCtx, "query.done",
 		obs.FInt("candidates", int64(res.Candidates)),
 		obs.FInt("matches", int64(res.Kept)))
@@ -270,7 +266,7 @@ func writeJSON(w io.Writer, plan *query.Plan, res *query.Result, threshold float
 		Schema:     query.PlanSchemaVersion,
 		DatasetA:   plan.NameA,
 		SelfJoin:   plan.SelfJoin,
-		Strategy:   plan.Block.Strategy.String(),
+		Strategy:   query.BlockStrategy,
 		Scorer:     plan.Scorer,
 		Threshold:  threshold,
 		Candidates: res.Candidates,

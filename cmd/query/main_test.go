@@ -10,17 +10,15 @@ import (
 	"transer/internal/testkit"
 )
 
-// TestQueryExplain checks the EXPLAIN rendering: schema line, one cost
-// estimate per strategy, and a chosen line — without executing.
+// TestQueryExplain checks the EXPLAIN rendering: schema line, the LSH
+// block operator with the dataset's recommended configuration, and
+// the filter — without executing.
 func TestQueryExplain(t *testing.T) {
 	bin := testkit.BuildBinary(t, "transer/cmd/query")
 	out := testkit.RunBinary(t, bin, "-dataset", "dblp-acm", "-scale", "0.1", "-explain")
 	for _, want := range []string{
 		"plan: transer.query/v1",
-		"est lsh",
-		"est sorted-neighbourhood",
-		"est canopy",
-		"chosen   ",
+		"block    strategy=lsh hashes=60 bands=20 q=3",
 		"filter   score >= 0.85",
 	} {
 		if !strings.Contains(out, want) {
@@ -32,43 +30,35 @@ func TestQueryExplain(t *testing.T) {
 	}
 }
 
-// TestQueryForcedStrategiesAgree is the binary-level check of the
-// engine's central contract: forcing any blocking strategy changes the
-// work, not the result. All three forced runs — across different
-// worker counts, exercising worker invariance in the same sweep — must
-// produce byte-identical CSV output.
-func TestQueryForcedStrategiesAgree(t *testing.T) {
+// TestQueryWorkerCountInvariance is the binary-level check of the
+// determinism contract: runs at different worker counts produce
+// byte-identical CSV output.
+func TestQueryWorkerCountInvariance(t *testing.T) {
 	bin := testkit.BuildBinary(t, "transer/cmd/query")
 	dir := t.TempDir()
 
 	var want []byte
-	for i, run := range []struct {
-		block   string
-		workers string
-	}{
-		{"lsh", "1"}, {"sn", "3"}, {"canopy", "0"}, {"auto", "2"},
-	} {
-		path := filepath.Join(dir, run.block+".csv")
+	for i, workers := range []string{"1", "3", "0"} {
+		path := filepath.Join(dir, "workers-"+workers+".csv")
 		stderr := testkit.RunBinary(t, bin,
 			"-dataset", "DBLP-ACM", "-scale", "0.1", "-threshold", "0.9",
-			"-block", run.block, "-workers", run.workers,
-			"-format", "csv", "-out", path)
+			"-workers", workers, "-format", "csv", "-out", path)
 		if !strings.Contains(stderr, "candidates") {
-			t.Fatalf("block=%s: no summary line:\n%s", run.block, stderr)
+			t.Fatalf("workers=%s: no summary line:\n%s", workers, stderr)
 		}
 		got, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("block=%s: %v", run.block, err)
+			t.Fatalf("workers=%s: %v", workers, err)
 		}
 		if len(strings.Split(strings.TrimSpace(string(got)), "\n")) < 2 {
-			t.Fatalf("block=%s found no matches; the test is vacuous:\n%s", run.block, got)
+			t.Fatalf("workers=%s found no matches; the test is vacuous:\n%s", workers, got)
 		}
 		if i == 0 {
 			want = got
 			continue
 		}
 		if string(got) != string(want) {
-			t.Errorf("block=%s workers=%s: result differs from forced lsh", run.block, run.workers)
+			t.Errorf("workers=%s: result differs from workers=1", workers)
 		}
 	}
 }
@@ -99,19 +89,10 @@ func TestQueryMetricsReport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report fails schema validation: %v", err)
 	}
-	for _, name := range []string{"plan", "scan", "compare", "score", "filter"} {
+	for _, name := range []string{"plan", "scan", "block:lsh", "compare", "score", "filter"} {
 		if r.Span.Find(name) == nil {
 			t.Errorf("report lacks the %s span", name)
 		}
-	}
-	blocked := false
-	for _, c := range r.Span.Children {
-		if strings.HasPrefix(c.Name, "block:") {
-			blocked = true
-		}
-	}
-	if !blocked {
-		t.Errorf("report lacks a block:<strategy> span; tree: %+v", r.Span)
 	}
 	for _, counter := range []string{"query.candidates_total", "query.compared_rows_total"} {
 		if r.Metrics.Counters[counter] == 0 {
@@ -131,7 +112,7 @@ func TestQueryFlagValidation(t *testing.T) {
 		{[]string{}, "need an input"},
 		{[]string{"-dataset", "no-such-set"}, "unknown dataset"},
 		{[]string{"-dataset", "mb", "-a", "x.csv"}, "mutually exclusive"},
-		{[]string{"-dataset", "mb", "-block", "bogus"}, "unknown blocking strategy"},
+		{[]string{"-dataset", "mb", "-block", "lsh"}, "flag provided but not defined: -block"},
 		{[]string{"-dataset", "mb", "-format", "xml"}, "unknown -format"},
 		{[]string{"-dataset", "mb", "-model", "m.json", "-sim", "name=jaccard"}, "cannot be combined"},
 	} {

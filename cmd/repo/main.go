@@ -40,6 +40,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -238,7 +239,11 @@ func runSign(args []string) error {
 		if err != nil {
 			return err
 		}
-		return model.AtomicWriteFile(*out, append(b, '\n'))
+		b = append(b, '\n')
+		return model.AtomicWriteFile(*out, func(w io.Writer) error {
+			_, err := w.Write(b)
+			return err
+		})
 	}
 	return printJSON(sig)
 }

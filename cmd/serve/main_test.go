@@ -615,7 +615,7 @@ func TestServeStreamBatchParity(t *testing.T) {
 
 	batchCSV := filepath.Join(t.TempDir(), "batch.csv")
 	testkit.RunBinary(t, queryBin, "-a", aCSV, "-b", bCSV, "-model", modelPath,
-		"-block", "lsh", "-format", "csv", "-out", batchCSV)
+		"-format", "csv", "-out", batchCSV)
 
 	dbA, err := dataset.ReadCSVFile(aCSV, "a")
 	if err != nil {

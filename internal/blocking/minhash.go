@@ -199,64 +199,6 @@ func CandidatePairs(a, b *dataset.Database, cfg MinHashConfig) []dataset.Pair {
 	return set.Sorted()
 }
 
-// KeyFunc maps a record to its blocking key; records with equal
-// non-empty keys become candidates.
-type KeyFunc func(r dataset.Record) string
-
-// SoundexKey returns a KeyFunc that encodes the given attribute with
-// Soundex — the classic phonetic blocking key for name attributes.
-func SoundexKey(attr int) KeyFunc {
-	return func(r dataset.Record) string {
-		if attr < 0 || attr >= len(r.Values) {
-			return ""
-		}
-		return strutil.Soundex(r.Values[attr])
-	}
-}
-
-// PrefixKey returns a KeyFunc taking the first n lower-cased
-// alphanumeric characters of the given attribute.
-func PrefixKey(attr, n int) KeyFunc {
-	return func(r dataset.Record) string {
-		if attr < 0 || attr >= len(r.Values) {
-			return ""
-		}
-		toks := strutil.Tokens(r.Values[attr])
-		if len(toks) == 0 {
-			return ""
-		}
-		s := toks[0]
-		if len(s) > n {
-			s = s[:n]
-		}
-		return s
-	}
-}
-
-// StandardBlocking builds candidate pairs from records sharing a
-// blocking key under any of the provided key functions.
-func StandardBlocking(a, b *dataset.Database, keys ...KeyFunc) []dataset.Pair {
-	set := make(dataset.PairSet)
-	for _, key := range keys {
-		index := make(map[string][]int)
-		for i, r := range a.Records {
-			if k := key(r); k != "" {
-				index[k] = append(index[k], i)
-			}
-		}
-		for j, r := range b.Records {
-			k := key(r)
-			if k == "" {
-				continue
-			}
-			for _, i := range index[k] {
-				set.Add(i, j)
-			}
-		}
-	}
-	return set.Sorted()
-}
-
 // PairsCompleteness returns the fraction of true matches retained by
 // the candidate pairs (blocking recall), the standard blocking quality
 // measure.

@@ -108,34 +108,6 @@ func TestBlockingRecallOnSyntheticData(t *testing.T) {
 	}
 }
 
-func TestStandardBlocking(t *testing.T) {
-	a, b := testDBs()
-	pairs := StandardBlocking(a, b, SoundexKey(0))
-	ps := make(dataset.PairSet)
-	for _, p := range pairs {
-		ps[p] = true
-	}
-	// john smith / jon smith share Soundex(first token of name)? Soundex
-	// works on whole value; "john smith" -> J525... both sides should
-	// match for smith-ish names.
-	if !ps.Contains(0, 0) {
-		t.Errorf("soundex blocking missed (a1,b1): %v", pairs)
-	}
-}
-
-func TestPrefixKey(t *testing.T) {
-	r := dataset.Record{Values: []string{"Kilmarnock Town", "x"}}
-	if k := PrefixKey(0, 3)(r); k != "kil" {
-		t.Errorf("PrefixKey = %q, want kil", k)
-	}
-	if k := PrefixKey(5, 3)(r); k != "" {
-		t.Errorf("out-of-range attr should give empty key, got %q", k)
-	}
-	if k := PrefixKey(0, 3)(dataset.Record{Values: []string{""}}); k != "" {
-		t.Errorf("empty value should give empty key")
-	}
-}
-
 func TestPairsCompletenessEdge(t *testing.T) {
 	if pc := PairsCompleteness(nil, dataset.PairSet{}); pc != 1 {
 		t.Errorf("empty truth should give completeness 1, got %v", pc)

@@ -172,39 +172,3 @@ func TokenSketch(db *dataset.Database, attr, k int) (sketch *KMV, tokens int) {
 	}
 	return s, tokens
 }
-
-// JaccardRecords is the cheap record-level similarity Canopy blocking
-// defaults to: word-token Jaccard over the records' concatenated
-// values. Exported so planners can pass it explicitly (or substitute a
-// comparator built from internal/strutil) rather than relying on the
-// nil-default.
-func JaccardRecords(x, y dataset.Record) float64 { return jaccardRecords(x, y) }
-
-// RecordSim lifts an attribute-value similarity (an
-// internal/strutil-style func(string, string) float64) to a record
-// comparator usable with Canopy: the records' non-empty values are
-// joined with single spaces and compared once. Deterministic in the
-// record contents only.
-func RecordSim(sim func(a, b string) float64) func(x, y dataset.Record) float64 {
-	return func(x, y dataset.Record) float64 {
-		return sim(joinValues(x), joinValues(y))
-	}
-}
-
-func joinValues(r dataset.Record) string {
-	n := 0
-	for _, v := range r.Values {
-		n += len(v) + 1
-	}
-	buf := make([]byte, 0, n)
-	for _, v := range r.Values {
-		if v == "" {
-			continue
-		}
-		if len(buf) > 0 {
-			buf = append(buf, ' ')
-		}
-		buf = append(buf, v...)
-	}
-	return string(buf)
-}

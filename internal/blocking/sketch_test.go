@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"transer/internal/dataset"
-	"transer/internal/strutil"
 )
 
 func TestKMVExactBelowK(t *testing.T) {
@@ -90,54 +89,4 @@ func TestTokenSketchCountsTokens(t *testing.T) {
 	if tok0 != 4 || s0.Estimate() != 4 {
 		t.Fatalf("attr-0 sketch: tokens=%d distinct=%v, want 4/4", tok0, s0.Estimate())
 	}
-}
-
-// TestCanopyComparatorInjection pins the satellite contract: Canopy
-// with a nil comparator behaves exactly like the exported default, and
-// a caller-supplied comparator built from internal/strutil actually
-// drives the blocking decisions.
-func TestCanopyComparatorInjection(t *testing.T) {
-	sch := dataset.Schema{Attributes: []dataset.Attribute{
-		{Name: "title", Type: dataset.AttrText},
-	}}
-	a := &dataset.Database{Name: "A", Schema: sch, Records: []dataset.Record{
-		{ID: "a0", Values: []string{"entity resolution at scale"}},
-		{ID: "a1", Values: []string{"graph databases"}},
-	}}
-	b := &dataset.Database{Name: "B", Schema: sch, Records: []dataset.Record{
-		{ID: "b0", Values: []string{"entity resolution"}},
-		{ID: "b1", Values: []string{"stream processing"}},
-	}}
-
-	def := Canopy(a, b, nil, 0.3, 0.8)
-	explicit := Canopy(a, b, JaccardRecords, 0.3, 0.8)
-	if len(def) != len(explicit) {
-		t.Fatalf("nil default and explicit JaccardRecords disagree: %v vs %v", def, explicit)
-	}
-	for i := range def {
-		if def[i] != explicit[i] {
-			t.Fatalf("pair %d differs: %v vs %v", i, def[i], explicit[i])
-		}
-	}
-
-	// Overlap coefficient scores subset titles 1.0 where Jaccard scores
-	// 2/4: at loose=0.6 only the injected comparator pairs a0 with b0.
-	overlap := RecordSim(strutil.OverlapCoefficient)
-	strict := Canopy(a, b, nil, 0.6, 0.9)
-	loose := Canopy(a, b, overlap, 0.6, 0.9)
-	if contains(strict, dataset.Pair{A: 0, B: 0}) {
-		t.Fatalf("jaccard at 0.6 unexpectedly paired the abbreviated title: %v", strict)
-	}
-	if !contains(loose, dataset.Pair{A: 0, B: 0}) {
-		t.Fatalf("overlap comparator did not pair the abbreviated title: %v", loose)
-	}
-}
-
-func contains(ps []dataset.Pair, p dataset.Pair) bool {
-	for _, q := range ps {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }

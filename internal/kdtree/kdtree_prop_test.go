@@ -25,9 +25,10 @@ func neighboursEqual(a, b []kdtree.Neighbour) bool {
 	return true
 }
 
-// TestKNNMatchesBruteForce: the tree agrees with the O(n) scan on both
-// value regimes, with and without an exclusion filter, for queries
-// drawn both from the indexed points and from fresh locations.
+// TestKNNMatchesBruteForce checks that the tree agrees with the O(n)
+// scan on both value regimes, with and without an exclusion filter,
+// for queries drawn both from the indexed points and from fresh
+// locations.
 func TestKNNMatchesBruteForce(t *testing.T) {
 	testkit.Run(t, "kdtree/knn-vs-brute", 16, func(pt *testkit.T) {
 		n := 3*pt.Size + 8

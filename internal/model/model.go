@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -356,44 +357,52 @@ func (a *Artifact) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	return AtomicWriteFile(path, b)
+	return AtomicWriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 }
 
-// AtomicWriteFile writes data to path via a same-directory temp file,
-// fsync and rename, so concurrent readers and crash recovery never
-// observe a partial file. The repository's catalog index uses the same
-// helper for its swap-on-success index updates.
-func AtomicWriteFile(path string, data []byte) error {
+// AtomicWriteFile writes a file through write into a same-directory
+// temp file, fsyncs it, renames it over path and fsyncs the directory,
+// so concurrent readers and crash recovery see either the previous
+// complete file or the new one, and the new one is durable once this
+// returns nil. On any error the temp file is removed and path keeps
+// its previous content. Artifacts, the repository's catalog index and
+// stream snapshots all write through it.
+func AtomicWriteFile(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp, 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return err
 }
 
 // Load reads and validates an artifact from disk.

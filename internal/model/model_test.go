@@ -2,7 +2,10 @@ package model_test
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -360,5 +363,51 @@ func TestArtifactFingerprint(t *testing.T) {
 	}
 	if m.Fingerprint() != fp1 {
 		t.Fatalf("matcher fingerprint %s, artifact %s", m.Fingerprint(), fp1)
+	}
+}
+
+// TestAtomicWriteFileFailureKeepsPrevious checks the failure half of
+// the atomic-write contract: a write that fails midway, or a rename
+// that cannot land, returns the error, keeps the previous file intact
+// and leaves no temp file behind.
+func TestAtomicWriteFileFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "doc.json")
+	write := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	if err := model.AtomicWriteFile(path, write("previous\n")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err := model.AtomicWriteFile(path, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want %v", err, boom)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "previous\n" {
+		t.Fatalf("previous file clobbered: %q", got)
+	}
+	// Renaming over a non-empty directory fails after the data is
+	// written and synced.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := model.AtomicWriteFile(blocked, write("x")); err == nil {
+		t.Fatal("rename over a non-empty directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 2 || names[0] != "blocked" || names[1] != "doc.json" {
+		t.Fatalf("directory holds %v, want [blocked doc.json] (a temp file leaked)", names)
 	}
 }

@@ -11,10 +11,9 @@ import (
 const SignatureSchemaVersion = "transer.signature/v1"
 
 // FieldSignature summarises one schema attribute of the domain a model
-// was trained to serve: the per-field statistics internal/query's
-// planner already collects, persisted so repository search can compare
-// a stored model's domain against a new target without re-reading the
-// training data.
+// was trained to serve: per-field statistics internal/repo collects,
+// persisted so repository search can compare a stored model's domain
+// against a new target without re-reading the training data.
 type FieldSignature struct {
 	Name string `json:"name"`
 	Type string `json:"type"`

@@ -49,12 +49,11 @@ func (d *Domain) NumFeatures() int { return d.Scheme.NumFeatures() }
 // is what makes memoizing them sound.
 
 // Block reduces the quadratic pair space of two databases to the
-// candidate pair set (the blocking stage). It runs on the query
-// engine's single blocking entry point with a forced LSH operator —
-// the same blocking.CandidatePairs computation as always, so
-// fingerprinted artifacts are byte-identical across the rebase.
+// candidate pair set (the blocking stage) with MinHash-LSH — the same
+// candidate relation batch queries, the streaming store and repository
+// signatures use.
 func Block(a, b *dataset.Database, cfg blocking.MinHashConfig) []dataset.Pair {
-	return query.Candidates(a, b, query.BlockSpec{Strategy: query.StrategyLSH, LSH: cfg})
+	return blocking.CandidatePairs(a, b, cfg)
 }
 
 // Compare computes the n×m feature matrix over the candidate pairs

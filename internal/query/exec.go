@@ -8,7 +8,6 @@ import (
 	"transer/internal/compare"
 	"transer/internal/dataset"
 	"transer/internal/parallel"
-	"transer/internal/strutil"
 )
 
 // CompareBlock is the fixed row-block size of vectorized compare and
@@ -19,97 +18,6 @@ import (
 // established. 512 rows amortise per-block overhead while keeping
 // cancellation latency in the low milliseconds.
 const CompareBlock = 512
-
-// Candidates is the repository's single blocking entry point: it runs
-// the spec's operator over the two databases and returns candidate
-// pairs in deterministic sorted order. For a dedup self-join pass
-// b == a and filter the result with SelfJoinPairs.
-func Candidates(a, b *dataset.Database, spec BlockSpec) []dataset.Pair {
-	switch spec.Strategy {
-	case StrategySortedNeighbourhood:
-		window := spec.Window
-		if window < 2 {
-			window = snWindow
-		}
-		keys := sortKeys(spec.SortAttr)
-		// Windowed passes over complementary orderings of the key
-		// attribute, unioned with an equal-key closure pass so records
-		// sharing a key are candidates no matter where the window falls.
-		set := make(dataset.PairSet)
-		for _, key := range keys {
-			for _, p := range blocking.SortedNeighbourhood(a, b, key, window) {
-				set[p] = true
-			}
-		}
-		for _, p := range blocking.StandardBlocking(a, b, keys...) {
-			set[p] = true
-		}
-		return set.Sorted()
-	case StrategyCanopy:
-		sim := spec.Sim
-		if sim == nil {
-			sim = blocking.JaccardRecords
-		}
-		loose, tight := spec.Loose, spec.Tight
-		if loose <= 0 {
-			loose, tight = canopyLoose, canopyTight
-		}
-		return blocking.Canopy(a, b, sim, loose, tight)
-	default: // StrategyLSH (and Auto, which the planner never emits)
-		return blocking.CandidatePairs(a, b, spec.LSH)
-	}
-}
-
-// sortKeys returns the sorting keys of the sorted-neighbourhood
-// operator: prefix and Soundex over the attribute's leading token, and
-// the same two over its lexicographically smallest token. The
-// min-token keys are invariant to token order, so "last first" versus
-// "first last" reorderings of a name attribute still share a key.
-func sortKeys(attr int) []blocking.KeyFunc {
-	return []blocking.KeyFunc{
-		blocking.PrefixKey(attr, 4),
-		blocking.SoundexKey(attr),
-		minTokenKey(attr, 4),
-		minTokenSoundexKey(attr),
-	}
-}
-
-// minToken returns the lexicographically smallest word token of the
-// attribute value ("" when empty or out of range).
-func minToken(r dataset.Record, attr int) string {
-	if attr < 0 || attr >= len(r.Values) {
-		return ""
-	}
-	toks := strutil.Tokens(r.Values[attr])
-	if len(toks) == 0 {
-		return ""
-	}
-	low := toks[0]
-	for _, t := range toks[1:] {
-		if t < low {
-			low = t
-		}
-	}
-	return low
-}
-
-// minTokenKey keys on the first n characters of the smallest token.
-func minTokenKey(attr, n int) blocking.KeyFunc {
-	return func(r dataset.Record) string {
-		s := minToken(r, attr)
-		if len(s) > n {
-			s = s[:n]
-		}
-		return s
-	}
-}
-
-// minTokenSoundexKey keys on the Soundex code of the smallest token.
-func minTokenSoundexKey(attr int) blocking.KeyFunc {
-	return func(r dataset.Record) string {
-		return strutil.Soundex(minToken(r, attr))
-	}
-}
 
 // SelfJoinPairs restricts a self-join candidate set to index pairs
 // i < j, dropping self-pairs and one of each mirrored duplicate. The
@@ -207,14 +115,14 @@ func Execute(ctx context.Context, job Job, plan *Plan) (*Result, error) {
 	scan.SetBool("self_join", selfJoin)
 	scan.End()
 
-	block := span.Child("block:" + plan.Block.Strategy.String())
-	pairs := Candidates(a, b, plan.Block)
+	block := span.Child("block:" + BlockStrategy)
+	pairs := blocking.CandidatePairs(a, b, plan.LSH)
 	if selfJoin {
 		pairs = SelfJoinPairs(pairs)
 	}
 	block.SetInt("candidates", int64(len(pairs)))
-	if plan.Stats.CrossProduct > 0 {
-		block.SetFloat("selectivity", float64(len(pairs))/plan.Stats.CrossProduct)
+	if cross := plan.crossProduct(); cross > 0 {
+		block.SetFloat("selectivity", float64(len(pairs))/cross)
 	}
 	block.End()
 	reg.Counter("query.candidates_total").Add(int64(len(pairs)))

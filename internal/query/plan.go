@@ -6,145 +6,58 @@ import (
 
 	"transer/internal/blocking"
 	"transer/internal/compare"
-	"transer/internal/dataset"
 )
 
-// Strategy identifies a blocking operator.
-type Strategy int
-
-const (
-	// StrategyAuto lets the planner choose from statistics.
-	StrategyAuto Strategy = iota
-	// StrategyLSH is MinHash-LSH over q-gram shingles
-	// (blocking.CandidatePairs) — the scalable default.
-	StrategyLSH
-	// StrategySortedNeighbourhood slides a window over records sorted by
-	// a discriminative key, unioned with an equal-key pass so identical
-	// keys are always candidates regardless of window position.
-	StrategySortedNeighbourhood
-	// StrategyCanopy compares every cross pair with a cheap record
-	// similarity — exhaustive recall, quadratic cost, for small inputs.
-	StrategyCanopy
-)
-
-// String returns the strategy's stable plan-text name.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyAuto:
-		return "auto"
-	case StrategyLSH:
-		return "lsh"
-	case StrategySortedNeighbourhood:
-		return "sorted-neighbourhood"
-	case StrategyCanopy:
-		return "canopy"
-	}
-	return fmt.Sprintf("Strategy(%d)", int(s))
-}
-
-// ParseStrategy parses a strategy name as accepted by the -block flag
-// and the /v1/query "block" field ("sn" aliases sorted-neighbourhood;
-// "" means auto).
-func ParseStrategy(s string) (Strategy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return StrategyAuto, nil
-	case "lsh", "minhash":
-		return StrategyLSH, nil
-	case "sn", "sorted-neighbourhood", "sortedneighbourhood":
-		return StrategySortedNeighbourhood, nil
-	case "canopy":
-		return StrategyCanopy, nil
-	}
-	return StrategyAuto, fmt.Errorf("query: unknown blocking strategy %q (want auto|lsh|sn|canopy)", s)
-}
-
-// BlockSpec is a fully resolved blocking operator: the strategy plus
-// every parameter its execution needs. Candidates(a, b, spec) is the
-// repository's single blocking entry point.
-type BlockSpec struct {
-	Strategy Strategy
-
-	// LSH parameters (StrategyLSH).
-	LSH blocking.MinHashConfig
-
-	// Sorted-neighbourhood parameters (StrategySortedNeighbourhood):
-	// the sort-key attribute index/name and the window size.
-	SortAttr int
-	SortName string
-	Window   int
-
-	// Canopy parameters (StrategyCanopy). Sim nil means the default
-	// token-Jaccard record similarity (blocking.JaccardRecords); the
-	// planner passes a comparator built from internal/strutil
-	// explicitly, named by SimName for plan rendering.
-	Loose, Tight float64
-	Sim          func(x, y dataset.Record) float64
-	SimName      string
-}
-
-// describe renders the spec's parameters for plan text.
-func (b BlockSpec) describe() string {
-	switch b.Strategy {
-	case StrategyLSH:
-		cfg := b.LSH.Normalized()
-		return fmt.Sprintf("strategy=lsh hashes=%d bands=%d q=%d", cfg.NumHashes, cfg.Bands, cfg.Q)
-	case StrategySortedNeighbourhood:
-		return fmt.Sprintf("strategy=sorted-neighbourhood key=%s window=%d", b.SortName, b.Window)
-	case StrategyCanopy:
-		sim := b.SimName
-		if sim == "" {
-			sim = "token_jaccard"
-		}
-		tight := fmt.Sprintf("%.2f", b.Tight)
-		if b.Tight > 1 {
-			tight = "off"
-		}
-		return fmt.Sprintf("strategy=canopy sim=%s loose=%.2f tight=%s", sim, b.Loose, tight)
-	}
-	return "strategy=" + b.Strategy.String()
-}
-
-// Estimate is the planner's per-strategy cost assessment; every plan
-// carries all three so EXPLAIN shows the rejected paths too.
-type Estimate struct {
-	Strategy Strategy
-	// Candidates is the estimated candidate pair count.
-	Candidates float64
-	// Cost is the estimated total work in comparator-evaluation units.
-	Cost float64
-	// Eligible reports whether the strategy met its recall guard.
-	Eligible bool
-	// Note explains ineligibility or the guard that admitted it.
-	Note string
-}
+// BlockStrategy names the engine's one blocking operator, MinHash-LSH
+// (blocking.CandidatePairs), in plan text, span names and responses.
+const BlockStrategy = "lsh"
 
 // Plan is a fully planned query: the logical operator chain
 // Scan → Block → Compare → Score → Filter(score ≥ τ) → Limit with
 // every physical parameter resolved. Plans are value-semantic and
-// deterministic: equal jobs and stats produce equal plans.
+// deterministic: equal jobs produce equal plans.
 type Plan struct {
 	// NameA/NameB and record counts snapshot the scanned inputs.
-	NameA, NameB string
-	SelfJoin     bool
-	Stats        Stats
+	NameA, NameB       string
+	RecordsA, RecordsB int
+	SelfJoin           bool
 
-	Block     BlockSpec
+	// LSH is the blocking operator's MinHash configuration.
+	LSH       blocking.MinHashConfig
 	Scheme    compare.Scheme
 	Scorer    string // scorer label for plan text
 	Threshold float64
 	Limit     int
+}
 
-	// Forced is true when the caller overrode the planner's choice.
-	Forced    bool
-	Reason    string
-	Estimates []Estimate
+// PlanJob validates the job and compiles its plan.
+func PlanJob(job Job) (*Plan, error) {
+	a, b, scheme, _, scorerLabel, selfJoin, err := job.resolve()
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{
+		NameA:     a.Name,
+		NameB:     b.Name,
+		RecordsA:  a.NumRecords(),
+		RecordsB:  b.NumRecords(),
+		SelfJoin:  selfJoin,
+		LSH:       job.LSH,
+		Scheme:    scheme,
+		Scorer:    scorerLabel,
+		Threshold: job.Threshold,
+		Limit:     job.Limit,
+	}, nil
+}
+
+// crossProduct is the unblocked pair space RecordsA × RecordsB.
+func (p *Plan) crossProduct() float64 {
+	return float64(p.RecordsA) * float64(p.RecordsB)
 }
 
 // Explain renders the plan in the EXPLAIN format: one line per logical
-// operator, then the planner's per-strategy estimates. The text is
-// deterministic for a deterministic input, so tests and docs can
-// assert on it.
+// operator. The text is deterministic for a deterministic input, so
+// tests and docs can assert on it.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan: %s\n", PlanSchemaVersion)
@@ -153,8 +66,9 @@ func (p *Plan) Explain() string {
 		join = "self-join"
 	}
 	fmt.Fprintf(&sb, "scan     %s A=%s(%d) B=%s(%d) cross=%.0f\n",
-		join, p.NameA, p.Stats.RecordsA, p.NameB, p.Stats.RecordsB, p.Stats.CrossProduct)
-	fmt.Fprintf(&sb, "block    %s  est_candidates=%.0f\n", p.Block.describe(), p.chosenEstimate().Candidates)
+		join, p.NameA, p.RecordsA, p.NameB, p.RecordsB, p.crossProduct())
+	cfg := p.LSH.Normalized()
+	fmt.Fprintf(&sb, "block    strategy=%s hashes=%d bands=%d q=%d\n", BlockStrategy, cfg.NumHashes, cfg.Bands, cfg.Q)
 	fmt.Fprintf(&sb, "compare  features=%d [%s]  (fixed %d-row blocks, worker-count invariant)\n",
 		p.Scheme.NumFeatures(), strings.Join(p.Scheme.FeatureNames(), ","), CompareBlock)
 	fmt.Fprintf(&sb, "score    scorer=%s\n", p.Scorer)
@@ -164,29 +78,5 @@ func (p *Plan) Explain() string {
 	} else {
 		sb.WriteString("limit    none\n")
 	}
-	if p.Forced {
-		fmt.Fprintf(&sb, "chosen   %s (forced by caller)\n", p.Block.Strategy)
-	} else {
-		fmt.Fprintf(&sb, "chosen   %s: %s\n", p.Block.Strategy, p.Reason)
-	}
-	for _, e := range p.Estimates {
-		state := "eligible"
-		if !e.Eligible {
-			state = "ineligible"
-		}
-		fmt.Fprintf(&sb, "  est %-20s candidates=%-12.0f cost=%-14.0f %s: %s\n",
-			e.Strategy, e.Candidates, e.Cost, state, e.Note)
-	}
 	return sb.String()
-}
-
-// chosenEstimate returns the estimate row of the chosen strategy (zero
-// value if absent, e.g. under a forced override with no estimates).
-func (p *Plan) chosenEstimate() Estimate {
-	for _, e := range p.Estimates {
-		if e.Strategy == p.Block.Strategy {
-			return e
-		}
-	}
-	return Estimate{Strategy: p.Block.Strategy}
 }

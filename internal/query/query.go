@@ -1,25 +1,24 @@
-// Package query is the planned similarity-join engine that unifies the
+// Package query is the similarity-join engine that unifies the
 // repository's blocking → compare → score path. A Job describes a
-// batch dedup or linkage query ("all pairs with score ≥ τ"); the
-// planner computes per-dataset statistics (record counts, per-field
-// null/distinct ratios, KMV token-cardinality sketches reusing the
-// MinHash machinery in internal/blocking) and compiles the logical
-// plan
+// batch dedup or linkage query ("all pairs with score ≥ τ"); PlanJob
+// compiles it into the plan
 //
 //	Scan → Block → Compare → Score → Filter(score ≥ τ) → Limit
 //
-// choosing the blocking operator — MinHash-LSH, sorted-neighbourhood
-// or canopy — from estimated candidate counts, with an EXPLAIN
-// rendering and a deterministic override. Execution is vectorized over
-// internal/parallel in fixed index-addressed row blocks, so results
-// are byte-identical for every worker count; each operator emits an
-// internal/obs span with row/candidate/selectivity attributes.
+// with an EXPLAIN rendering. The block operator is always MinHash-LSH
+// (blocking.CandidatePairs) under the job's configuration — the same
+// candidate relation training (internal/pipeline), the streaming store
+// (internal/stream) and repository signatures (internal/repo) use.
+// Execution is vectorized over internal/parallel in fixed
+// index-addressed row blocks, so results are byte-identical for every
+// worker count; each operator emits an internal/obs span with
+// row/candidate/selectivity attributes.
 //
-// The package is also the single physical implementation of those
-// stages for the rest of the repository: internal/pipeline's block and
-// compare stages, internal/experiments (via the pipeline store) and
-// internal/serve's batch scoring all run on Candidates, CompareMatrix
-// and ScoreMatrix.
+// The package is also the single physical implementation of the
+// compare and score stages for the rest of the repository:
+// internal/pipeline's compare stage, internal/experiments (via the
+// pipeline store) and internal/serve's batch scoring all run on
+// CompareMatrix and ScoreMatrix.
 package query
 
 import (
@@ -81,12 +80,9 @@ type Job struct {
 	// 0 means unlimited.
 	Limit int
 
-	// Force pins the blocking strategy (StrategyAuto lets the planner
-	// decide from statistics).
-	Force Strategy
-	// LSH overrides the MinHash configuration used when the LSH
-	// strategy runs (zero value = blocking package defaults); generated
-	// datasets pass their recommended config here.
+	// LSH overrides the blocking operator's MinHash configuration
+	// (zero value = blocking package defaults); generated datasets
+	// pass their recommended config here.
 	LSH blocking.MinHashConfig
 
 	// Workers bounds execution goroutines (0 = one per CPU). Results

@@ -2,6 +2,7 @@ package repo
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -346,7 +347,10 @@ func (c *Catalog) writeIndexLocked() error {
 	if err != nil {
 		return err
 	}
-	return model.AtomicWriteFile(filepath.Join(c.dir, indexFile), b)
+	return model.AtomicWriteFile(filepath.Join(c.dir, indexFile), func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 }
 
 func isHex(s string) bool {

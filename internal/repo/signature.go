@@ -9,12 +9,12 @@
 // one file per fingerprint plus an atomically swapped index, and
 // recovers by rescanning artifact files when the index is missing or
 // stale. Search compares compact domain signatures
-// (model.Signature): per-field null/distinct/token statistics from
-// internal/query's collector, KMV token sketches sharing MinHash
-// blocking's token hashing, and the domain's dominant quantized
-// compare-vector centroids. Everything is deterministic: signatures
-// are pure functions of the data (record order never matters) and
-// search rankings are bitwise identical for every worker count.
+// (model.Signature): per-field null/distinct/token statistics, KMV
+// token sketches sharing MinHash blocking's token hashing, and the
+// domain's dominant quantized compare-vector centroids. Everything is
+// deterministic: signatures are pure functions of the data (record
+// order never matters) and search rankings are bitwise identical for
+// every worker count.
 //
 // See DESIGN.md §14 for the layout, the signature definition, the
 // selection cost model and the determinism contract.
@@ -22,6 +22,7 @@ package repo
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sort"
 
@@ -74,26 +75,17 @@ const (
 // a pure function of the record and row multisets: permuting records
 // or vector rows yields an identical signature.
 func BuildSignature(a, b *dataset.Database, x [][]float64) *model.Signature {
-	st := query.Collect(a, b)
+	fields, sketch := fieldStats(a, b)
 	sig := &model.Signature{
 		Schema:      model.SignatureSchemaVersion,
 		Records:     a.NumRecords(),
 		Pairs:       len(x),
-		SketchK:     st.Sketch.K(),
-		TokenHashes: st.Sketch.Hashes(),
+		SketchK:     sketch.K(),
+		TokenHashes: sketch.Hashes(),
+		Fields:      fields,
 	}
 	if b != a {
 		sig.Records += b.NumRecords()
-	}
-	sig.Fields = make([]model.FieldSignature, len(st.Fields))
-	for i, f := range st.Fields {
-		sig.Fields[i] = model.FieldSignature{
-			Name:          f.Name,
-			Type:          f.Type.String(),
-			NullRatio:     f.NullRatio,
-			DistinctRatio: f.DistinctRatio,
-			AvgTokens:     f.AvgTokens,
-		}
 	}
 	sig.Centroids = centroidsOf(x)
 	return sig
@@ -152,29 +144,23 @@ func centroidsOf(x [][]float64) []model.Centroid {
 }
 
 // SignatureOf builds the signature of a raw database pair end to end:
-// it runs LSH blocking through the query engine, computes the
-// candidate compare matrix under the schema's default scheme, and
-// reduces both to a signature. The blocking strategy is pinned to LSH
-// rather than left to the planner: the auto planner switches operators
-// by input size, which would make the candidate-pair distribution —
-// and so the centroid component — incomparable between a full-scale
-// catalogued signature and a small target probe of the same domain.
-// Pass b == nil for a dedup view of a single database (candidates
-// restricted to i < j). lsh optionally overrides the MinHash
-// configuration (zero value = blocking defaults); workers bounds the
-// compare fan-out — the signature is bitwise identical for every
-// worker count.
+// it blocks with MinHash-LSH (blocking.CandidatePairs, the same
+// candidate relation training, streaming and batch queries use),
+// computes the candidate compare matrix under the schema's default
+// scheme, and reduces both to a signature. Pass b == nil for a dedup
+// view of a single database (candidates restricted to i < j). lsh
+// optionally overrides the MinHash configuration (zero value =
+// blocking defaults); workers bounds the compare fan-out — the
+// signature is bitwise identical for every worker count.
 func SignatureOf(ctx context.Context, a, b *dataset.Database, lsh blocking.MinHashConfig, workers int) (*model.Signature, error) {
-	job := query.Job{A: a, B: b, LSH: lsh, Workers: workers, Force: query.StrategyLSH}
-	plan, err := query.PlanJob(job)
-	if err != nil {
-		return nil, err
-	}
 	selfJoin := b == nil || b == a
 	if selfJoin {
 		b = a
 	}
-	pairs := query.Candidates(a, b, plan.Block)
+	if !a.Schema.Equal(b.Schema) {
+		return nil, errors.New("repo: databases A and B have different schemas")
+	}
+	pairs := blocking.CandidatePairs(a, b, lsh)
 	if selfJoin {
 		pairs = query.SelfJoinPairs(pairs)
 	}

@@ -12,7 +12,8 @@ import (
 
 // QueryRequest is the body of POST /v1/query: a batch similarity join
 // of two uploaded record sets (or a dedup self-join when B is empty)
-// through the planned query engine, scored by the loaded model.
+// through the query engine (MinHash-LSH blocking), scored by the
+// loaded model.
 type QueryRequest struct {
 	// A and B are the record sets to join. Empty B means a dedup
 	// self-join of A (matches are index pairs i < j into A).
@@ -24,10 +25,6 @@ type QueryRequest struct {
 	// Limit caps returned matches in deterministic index order (0 =
 	// unlimited).
 	Limit int `json:"limit,omitempty"`
-	// Block forces a blocking strategy: "auto" (default), "lsh", "sn"
-	// or "canopy". Any strategy yields the same result set; forcing
-	// only changes how much work finds it.
-	Block string `json:"block,omitempty"`
 	// Explain plans the query and returns the EXPLAIN rendering without
 	// executing it.
 	Explain bool `json:"explain,omitempty"`
@@ -44,8 +41,9 @@ type QueryMatch struct {
 
 // QueryResponse is the body of a successful POST /v1/query.
 type QueryResponse struct {
-	Model    string `json:"model"`
-	Schema   string `json:"schema"`
+	Model  string `json:"model"`
+	Schema string `json:"schema"`
+	// Strategy names the blocking operator; always "lsh".
 	Strategy string `json:"strategy"`
 	// Plan is the EXPLAIN rendering (always present, so every response
 	// documents how it was computed).
@@ -105,12 +103,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("query over %d records exceeds the limit of %d", n, s.cfg.MaxBatchPairs))
 		return
 	}
-	force, err := query.ParseStrategy(req.Block)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
 	e, err := s.ensembleFor(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
@@ -142,7 +134,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ScorerLabel: "model:" + e.Label(),
 		Threshold:   threshold,
 		Limit:       req.Limit,
-		Force:       force,
 		Workers:     s.cfg.Workers,
 		// Operator spans nest under the request span, so /debug/traces
 		// shows the full plan execution for captured query requests.
@@ -158,7 +149,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp := QueryResponse{
 		Model:    e.Label(),
 		Schema:   query.PlanSchemaVersion,
-		Strategy: plan.Block.Strategy.String(),
+		Strategy: query.BlockStrategy,
 		Plan:     plan.Explain(),
 		Explain:  req.Explain,
 	}

@@ -38,8 +38,8 @@ func TestQueryEndpoint(t *testing.T) {
 	if resp.Schema != "transer.query/v1" {
 		t.Errorf("schema = %q", resp.Schema)
 	}
-	if !strings.Contains(resp.Plan, "chosen   ") {
-		t.Errorf("plan rendering missing chosen line:\n%s", resp.Plan)
+	if resp.Strategy != "lsh" || !strings.Contains(resp.Plan, "block    strategy=lsh ") {
+		t.Errorf("strategy %q, plan rendering lacks the lsh block line:\n%s", resp.Strategy, resp.Plan)
 	}
 	if resp.Count == 0 || len(resp.Matches) == 0 {
 		t.Fatalf("query found no matches: %s", w.Body.String())
@@ -106,29 +106,25 @@ func TestQueryExplainAndDedup(t *testing.T) {
 }
 
 // TestQueryDeterministicAcrossWorkers demands byte-identical /v1/query
-// responses for every worker pool size, forced and auto strategies
-// alike.
+// responses for every worker pool size.
 func TestQueryDeterministicAcrossWorkers(t *testing.T) {
 	reg := StaticRegistry(trainedMatcher(t))
 	rng := rand.New(rand.NewSource(17))
 	a, b := testkit.DatabasePair(rng, 35)
 	req := QueryRequest{A: payloads(a), B: payloads(b)}
-	for _, block := range []string{"", "lsh"} {
-		req.Block = block
-		var want []byte
-		for _, workers := range []int{1, 2, 3, 0} {
-			s := newTestServer(t, Config{Registry: reg, Workers: workers})
-			w := postJSON(t, s.Handler(), "/v1/query", req)
-			if w.Code != http.StatusOK {
-				t.Fatalf("block=%q workers=%d: status %d: %s", block, workers, w.Code, w.Body.String())
-			}
-			if want == nil {
-				want = w.Body.Bytes()
-				continue
-			}
-			if !bytes.Equal(want, w.Body.Bytes()) {
-				t.Fatalf("block=%q workers=%d: response differs from workers=1", block, workers)
-			}
+	var want []byte
+	for _, workers := range []int{1, 2, 3, 0} {
+		s := newTestServer(t, Config{Registry: reg, Workers: workers})
+		w := postJSON(t, s.Handler(), "/v1/query", req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("workers=%d: status %d: %s", workers, w.Code, w.Body.String())
+		}
+		if want == nil {
+			want = w.Body.Bytes()
+			continue
+		}
+		if !bytes.Equal(want, w.Body.Bytes()) {
+			t.Fatalf("workers=%d: response differs from workers=1", workers)
 		}
 	}
 }
@@ -141,8 +137,10 @@ func TestQueryValidation(t *testing.T) {
 		t.Errorf("empty query: status %d, want 400", w.Code)
 	}
 	small := []RecordPayload{{"name": "ada"}, {"name": "ada"}}
-	if w := postJSON(t, h, "/v1/query", QueryRequest{A: small, Block: "bogus"}); w.Code != http.StatusBadRequest {
-		t.Errorf("bogus block: status %d, want 400", w.Code)
+	// Blocking is always LSH: a request naming a strategy is rejected
+	// as an unknown field, not silently ignored.
+	if w := postJSON(t, h, "/v1/query", map[string]any{"a": small, "block": "lsh"}); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "unknown field") {
+		t.Errorf("block field: status %d (%s), want 400 unknown field", w.Code, w.Body.String())
 	}
 	if w := postJSON(t, h, "/v1/query", QueryRequest{A: []RecordPayload{{"nope": "x"}, {"name": "y"}}}); w.Code != http.StatusBadRequest {
 		t.Errorf("unknown attribute: status %d, want 400", w.Code)

@@ -18,9 +18,9 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 
 	"transer/internal/dataset"
+	"transer/internal/model"
 )
 
 // SnapshotSchemaVersion identifies the snapshot document format.
@@ -81,22 +81,12 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
-// SnapshotFile writes a snapshot atomically (temp file + rename), so a
-// crash mid-snapshot never leaves a partial document at path.
+// SnapshotFile writes a snapshot atomically and durably through
+// model.AtomicWriteFile (temp file, fsync, rename, directory fsync),
+// so a crash mid-snapshot never leaves a partial document at path and
+// a failed snapshot leaves the previous one in place.
 func (s *Store) SnapshotFile(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := s.WriteSnapshot(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return model.AtomicWriteFile(path, s.WriteSnapshot)
 }
 
 // LoadSnapshot restores a store from a snapshot document. The config

@@ -279,3 +279,47 @@ func mustRead(t *testing.T, path string) []byte {
 	}
 	return data
 }
+
+// TestSnapshotFileFailureLeavesNoTemp checks that a snapshot that
+// cannot land returns the error, leaves the previous snapshot loadable
+// and leaves no temp file in the directory.
+func TestSnapshotFileFailureLeavesNoTemp(t *testing.T) {
+	schema, records := buildStream(36, 10)
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "store.snapshot")
+	st, err := NewStore(persistCfg(schema))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if _, err := st.Ingest(context.Background(), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.SnapshotFile(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SnapshotFile(blocked); err == nil {
+		t.Fatal("snapshot over a non-empty directory succeeded")
+	}
+	restored, err := LoadSnapshotFile(persistCfg(schema), snapPath)
+	if err != nil {
+		t.Fatalf("previous snapshot no longer loads: %v", err)
+	}
+	if got, want := fingerprint(t, restored), fingerprint(t, st); got != want {
+		t.Fatalf("restored fingerprint %s, want %s", got, want)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Fatalf("temp file %s left behind", e.Name())
+		}
+	}
+}

@@ -49,8 +49,8 @@ type TB interface {
 }
 
 // BatchPartition computes the batch reference partition of db: a
-// planned query dedup self-join (forced to the store's LSH
-// configuration so both sides block identically) thresholded at
+// query dedup self-join (under the store's LSH configuration so both
+// sides block identically) thresholded at
 // cfg.Threshold, closed transitively with cluster.DedupComponents.
 // Groups are sorted by smallest member, members ascending — the
 // canonical partition form used throughout this package.
@@ -59,7 +59,6 @@ func BatchPartition(ctx context.Context, db *dataset.Database, cfg stream.Config
 		A:         db,
 		Scorer:    cfg.Scorer,
 		Threshold: cfg.Threshold,
-		Force:     query.StrategyLSH,
 		LSH:       normalizeLSH(cfg),
 		Workers:   cfg.Workers,
 	}
