@@ -7,8 +7,8 @@ import (
 )
 
 // Ablation benchmarks for implementation design choices: the
-// duplicate-group optimisation of the SEL phase and the KD-tree
-// neighbourhood index (vs brute force). Run with
+// duplicate-group optimisation of the SEL phase and the weighted k-d
+// tree neighbourhood index (vs brute force). Run with
 //
 //	go test -bench=Ablation ./internal/core/
 func BenchmarkAblationSELGrouped(b *testing.B) {
@@ -31,10 +31,10 @@ func BenchmarkAblationSELPerInstance(b *testing.B) {
 
 func BenchmarkAblationKDTreeKNN(b *testing.B) {
 	xs, _, _ := quantizedProblem(5000, 6, 2)
-	tree := kdtree.Build(xs)
+	ix := kdtree.NewWeightedIndex(kdtree.Uniq(xs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.KNN(xs[i%len(xs)], 7, nil)
+		ix.KNN(xs[i%len(xs)], 7)
 	}
 }
 

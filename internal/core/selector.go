@@ -30,8 +30,8 @@ type selector struct {
 	xt  [][]float64
 	cfg Config
 
-	srcTree, tgtTree *kdtree.Tree
-	sqrtM            float64
+	srcIx, tgtIx *kdtree.WeightedIndex
+	sqrtM        float64
 }
 
 func newSelector(xs [][]float64, ys []int, xt [][]float64, cfg Config) *selector {
@@ -45,27 +45,26 @@ func newSelector(xs [][]float64, ys []int, xt [][]float64, cfg Config) *selector
 	}
 }
 
-// ensureTrees lazily builds the per-instance pointer trees used by
-// the diagnostic per-instance API (Similarities). selectInstances
-// never builds them. Not goroutine-safe: call before fanning out.
-func (s *selector) ensureTrees() {
-	if s.srcTree == nil {
-		s.srcTree = kdtree.Build(s.xs)
-		s.tgtTree = kdtree.Build(s.xt)
+// ensureIndexes lazily builds the source and target indexes used by
+// the diagnostic per-instance API (Similarities); selectInstances
+// builds its own under its spans. Not goroutine-safe: call before
+// fanning out.
+func (s *selector) ensureIndexes() {
+	if s.srcIx == nil {
+		s.srcIx = kdtree.NewWeightedIndex(kdtree.Uniq(s.xs))
+		s.tgtIx = kdtree.NewWeightedIndex(kdtree.Uniq(s.xt))
 	}
 }
 
 // similaritiesFor computes sim_c, sim_l (and sim_v if enabled) for the
 // source instance at index i.
 func (s *selector) similaritiesFor(i int) InstanceSimilarities {
-	s.ensureTrees()
+	s.ensureIndexes()
 	x := s.xs[i]
 	// k nearest source neighbours, excluding the instance itself — its
 	// own label must not inflate its class confidence.
 	k := s.cfg.K
-	nnS := s.srcTree.KNN(x, k, func(id int) bool { return id == i })
-	nnT := s.tgtTree.KNN(x, k, nil)
-	return s.simsFrom(i, nnS, nnT)
+	return s.simsFrom(i, s.srcIx.KNNExcept(x, k, i), s.tgtIx.KNN(x, k))
 }
 
 // simsFrom evaluates Equations (1), (2) and the sim_v ablation for
@@ -155,8 +154,8 @@ func (s *selector) accepted(sims InstanceSimilarities) bool {
 // on an instance only through its feature vector, its label and its
 // self-exclusion from the source KNN query. The selector therefore
 // groups rows by exact vector equality (kdtree.Uniq) and answers
-// instance-level k-NN with one query per unique vector over weighted
-// flattened trees of both domains (kdtree.WeightedIndex), so a
+// instance-level k-NN with one query per unique vector over the
+// weighted indexes of both domains (kdtree.WeightedIndex), so a
 // duplicate group costs one point instead of being re-scanned by every
 // query (DESIGN.md §10). decideVector turns each vector's
 // neighbourhoods into per-row decisions bitwise-identical to the

@@ -7,9 +7,9 @@ import (
 )
 
 func TestWordDeterministic(t *testing.T) {
-	e := New(16, 0, 1)
-	a := e.Word("smith")
-	b := e.Word("smith")
+	e := New(16, 1)
+	a := e.word("smith")
+	b := e.word("smith")
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same word embedded differently at %d", i)
@@ -18,8 +18,8 @@ func TestWordDeterministic(t *testing.T) {
 }
 
 func TestWordUnitNorm(t *testing.T) {
-	e := New(16, 0, 1)
-	v := e.Word("kilmarnock")
+	e := New(16, 1)
+	v := e.word("kilmarnock")
 	n := 0.0
 	for _, x := range v {
 		n += x * x
@@ -29,32 +29,27 @@ func TestWordUnitNorm(t *testing.T) {
 	}
 }
 
-func TestOOVBehaviourWordLevel(t *testing.T) {
-	// Pure word hashing: a one-character typo yields an unrelated
-	// vector (the FastText-OOV failure mode DR reproduces).
-	e := New(32, 0, 1)
-	cos := e.Cosine("smith", "smyth")
-	if math.Abs(cos) > 0.5 {
-		t.Errorf("word-level embedding should not relate typo variants, cosine %v", cos)
-	}
+// cosineFeature is the last pair feature, the cosine rescaled from
+// [-1, 1] into [0, 1].
+func cosineFeature(e *Embedder, a, b string) float64 {
+	return e.PairFeaturesOf(e.Value(a), e.Value(b))[e.Dim]
 }
 
-func TestSubwordSharing(t *testing.T) {
-	// With subword blending, typo variants become related.
-	word := New(32, 0, 1)
-	sub := New(32, 1, 1)
-	cw := word.Cosine("smith", "smyth")
-	cs := sub.Cosine("smith", "smyth")
-	if cs <= cw {
-		t.Errorf("subword cosine %v should exceed word-level %v", cs, cw)
+func TestOOVBehaviourWordLevel(t *testing.T) {
+	// Pure word hashing: a one-character typo yields an unrelated
+	// vector (the FastText-OOV failure mode DR reproduces), so the
+	// cosine stays within [-0.5, 0.5].
+	e := New(32, 1)
+	if f := cosineFeature(e, "smith", "smyth"); f < 0.25 || f > 0.75 {
+		t.Errorf("word-level embedding should not relate typo variants, cosine feature %v", f)
 	}
 }
 
 func TestValueAveragesTokens(t *testing.T) {
-	e := New(8, 0, 1)
+	e := New(8, 1)
 	v := e.Value("john smith")
-	j := e.Word("john")
-	s := e.Word("smith")
+	j := e.word("john")
+	s := e.word("smith")
 	for i := range v {
 		want := (j[i] + s[i]) / 2
 		if math.Abs(v[i]-want) > 1e-12 {
@@ -70,8 +65,9 @@ func TestValueAveragesTokens(t *testing.T) {
 }
 
 func TestPairFeatures(t *testing.T) {
-	e := New(8, 0, 1)
-	f := e.PairFeatures("john smith", "john smith")
+	e := New(8, 1)
+	v := e.Value("john smith")
+	f := e.PairFeaturesOf(v, v)
 	if len(f) != 9 {
 		t.Fatalf("pair feature width %d, want dim+1", len(f))
 	}
@@ -84,14 +80,13 @@ func TestPairFeatures(t *testing.T) {
 		t.Errorf("identical values should have cosine feature 1, got %v", f[8])
 	}
 	// Empty pair: zero vector diff and 0 cosine feature.
-	f = e.PairFeatures("", "")
-	if f[8] != 0 {
-		t.Errorf("empty pair cosine feature = %v, want 0", f[8])
+	if got := cosineFeature(e, "", ""); got != 0 {
+		t.Errorf("empty pair cosine feature = %v, want 0", got)
 	}
 }
 
 func TestCosineRange(t *testing.T) {
-	e := New(16, 0.5, 2)
+	e := New(16, 2)
 	prop := func(a, b string) bool {
 		if len(a) > 20 {
 			a = a[:20]
@@ -99,11 +94,11 @@ func TestCosineRange(t *testing.T) {
 		if len(b) > 20 {
 			b = b[:20]
 		}
-		c := e.Cosine(a, b)
-		return c >= -1-1e-9 && c <= 1+1e-9 && !math.IsNaN(c)
+		c := cosineFeature(e, a, b)
+		return c >= -1e-9 && c <= 1+1e-9 && !math.IsNaN(c)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Errorf("cosine out of range: %v", err)
+		t.Errorf("cosine feature out of range: %v", err)
 	}
 }
 
@@ -113,5 +108,5 @@ func TestNewPanicsOnBadDim(t *testing.T) {
 			t.Errorf("expected panic for non-positive dim")
 		}
 	}()
-	New(0, 0, 1)
+	New(0, 1)
 }

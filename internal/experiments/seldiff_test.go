@@ -11,8 +11,8 @@ import (
 
 // TestSelectInstancesMatchesOracleOnDatasets runs the SEL phase of
 // every table 2 task and requires the selection to equal the
-// per-instance oracle (one pointer-tree query per source row, no
-// deduplication). Scale 0.25 exercises real duplicate distributions;
+// per-instance oracle (one index query per source row through
+// core.Similarities, no deduplication). Scale 0.25 exercises real duplicate distributions;
 // -short drops to 0.05 to keep the unit suite quick.
 func TestSelectInstancesMatchesOracleOnDatasets(t *testing.T) {
 	opts := tiny()

@@ -1,178 +1,25 @@
-// Package kdtree implements a static k-d tree (Bentley, 1975) over
-// dense float64 points with exact k-nearest-neighbour queries. It is
-// the neighbourhood index behind the TransER instance selector and the
-// LocIT* baseline: for every source instance the selector asks for the
-// k nearest feature vectors in the source and in the target matrix.
+// Package kdtree implements exact k-nearest-neighbour search over
+// dense float64 points. Its one index, WeightedIndex, is a flattened
+// k-d tree (Bentley, 1975) over the distinct vectors of a point set,
+// each weighted by its multiplicity. It answers every neighbourhood
+// query in the system: the TransER instance selector (paper Eqs. 1–2),
+// the LocIT* baseline and DR's density-ratio weights.
 //
-// The tree is built once from a point set and is immutable afterwards;
-// queries are goroutine-safe.
+// Results are canonical: the k smallest neighbours under (distance,
+// id) order, bitwise equal to the BruteKNN scan, which stays as the
+// test oracle.
 package kdtree
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 )
-
-// Tree is an immutable k-d tree over a fixed point set.
-type Tree struct {
-	dim    int
-	points [][]float64 // original points, indexed by id
-	nodes  []node      // flattened tree, nodes[0] is the root if len > 0
-}
-
-type node struct {
-	point       []float64
-	id          int // index into the original point slice
-	axis        int
-	left, right int32 // node indices; -1 means none
-}
-
-// Build constructs a k-d tree over points. The point slices are
-// referenced, not copied; callers must not mutate them afterwards. All
-// points must share the same dimensionality. An empty point set yields
-// a usable empty tree whose queries return no results.
-func Build(points [][]float64) *Tree {
-	t := &Tree{points: points}
-	if len(points) == 0 {
-		return t
-	}
-	t.dim = len(points[0])
-	ids := make([]int, len(points))
-	for i := range ids {
-		ids[i] = i
-	}
-	t.nodes = make([]node, 0, len(points))
-	t.build(ids, 0)
-	return t
-}
-
-// build recursively constructs the subtree over ids split on the given
-// axis and returns its node index.
-func (t *Tree) build(ids []int, depth int) int32 {
-	if len(ids) == 0 {
-		return -1
-	}
-	axis := depth % t.dim
-	// Median split: sort ids by the axis coordinate. For the modest
-	// point counts in ER feature matrices a sort-based median keeps the
-	// code simple and the tree perfectly balanced.
-	sort.Slice(ids, func(i, j int) bool {
-		return t.points[ids[i]][axis] < t.points[ids[j]][axis]
-	})
-	mid := len(ids) / 2
-	idx := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{
-		point: t.points[ids[mid]],
-		id:    ids[mid],
-		axis:  axis,
-	})
-	// Children are appended after the parent; record their indices.
-	left := append([]int(nil), ids[:mid]...)
-	right := append([]int(nil), ids[mid+1:]...)
-	l := t.build(left, depth+1)
-	r := t.build(right, depth+1)
-	t.nodes[idx].left = l
-	t.nodes[idx].right = r
-	return idx
-}
-
-// Len returns the number of indexed points.
-func (t *Tree) Len() int { return len(t.points) }
-
-// Dim returns the dimensionality of the indexed points (0 when empty).
-func (t *Tree) Dim() int { return t.dim }
 
 // Neighbour is one k-NN result: the point's index in the original
 // slice and its squared Euclidean distance to the query.
 type Neighbour struct {
 	ID    int
 	Dist2 float64
-}
-
-// maxHeap of neighbours ordered by (distance, id) — lexicographically
-// largest on top — so the current worst candidate can be evicted in
-// O(log k). Including the id in the order makes the kept set canonical
-// under distance ties: the query returns exactly the k smallest
-// neighbours by (distance, id), independent of tree traversal order.
-type nnHeap []Neighbour
-
-func (h nnHeap) Len() int { return len(h) }
-func (h nnHeap) Less(i, j int) bool {
-	if h[i].Dist2 != h[j].Dist2 {
-		return h[i].Dist2 > h[j].Dist2
-	}
-	return h[i].ID > h[j].ID
-}
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(Neighbour)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
-}
-
-// KNN returns the k nearest neighbours of q by Euclidean distance,
-// sorted by ascending distance (ties broken by id for determinism). If
-// the tree holds fewer than k points, all points are returned. The
-// exclude function, when non-nil, filters out candidate ids (used to
-// exclude the query instance itself when searching its own domain).
-func (t *Tree) KNN(q []float64, k int, exclude func(id int) bool) []Neighbour {
-	if k <= 0 || len(t.nodes) == 0 {
-		return nil
-	}
-	h := make(nnHeap, 0, k+1)
-	t.search(0, q, k, exclude, &h)
-	out := make([]Neighbour, len(h))
-	copy(out, h)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist2 != out[j].Dist2 {
-			return out[i].Dist2 < out[j].Dist2
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-func (t *Tree) search(ni int32, q []float64, k int, exclude func(int) bool, h *nnHeap) {
-	if ni < 0 {
-		return
-	}
-	n := &t.nodes[ni]
-	if exclude == nil || !exclude(n.id) {
-		d2 := sqDist(q, n.point)
-		cand := Neighbour{ID: n.id, Dist2: d2}
-		if len(*h) < k {
-			heap.Push(h, cand)
-		} else if worse((*h)[0], cand) {
-			(*h)[0] = cand
-			heap.Fix(h, 0)
-		}
-	}
-	diff := q[n.axis] - n.point[n.axis]
-	near, far := n.left, n.right
-	if diff > 0 {
-		near, far = far, near
-	}
-	t.search(near, q, k, exclude, h)
-	// Prune the far subtree unless the splitting plane is at most as
-	// far as the current worst candidate (equality must be explored so
-	// distance ties resolve canonically by id) or we still need more
-	// candidates.
-	if len(*h) < k || diff*diff <= (*h)[0].Dist2 {
-		t.search(far, q, k, exclude, h)
-	}
-}
-
-// worse reports whether a ranks strictly after b in (distance, id)
-// order, i.e. whether candidate b should replace heap-worst a.
-func worse(a, b Neighbour) bool {
-	if a.Dist2 != b.Dist2 {
-		return a.Dist2 > b.Dist2
-	}
-	return a.ID > b.ID
 }
 
 func sqDist(a, b []float64) float64 {
@@ -184,8 +31,19 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// BruteKNN is the reference O(n) nearest-neighbour scan used in tests
-// and as a fallback for tiny point sets.
+// sortNeighbours orders nn ascending by (distance, id).
+func sortNeighbours(nn []Neighbour) {
+	sort.Slice(nn, func(i, j int) bool {
+		if nn[i].Dist2 != nn[j].Dist2 {
+			return nn[i].Dist2 < nn[j].Dist2
+		}
+		return nn[i].ID < nn[j].ID
+	})
+}
+
+// BruteKNN is the reference O(n) nearest-neighbour scan: the k
+// smallest points by (distance, id), skipping ids exclude reports.
+// Tests use it as the oracle for WeightedIndex.
 func BruteKNN(points [][]float64, q []float64, k int, exclude func(id int) bool) []Neighbour {
 	if k <= 0 {
 		return nil
@@ -197,12 +55,7 @@ func BruteKNN(points [][]float64, q []float64, k int, exclude func(id int) bool)
 		}
 		all = append(all, Neighbour{ID: i, Dist2: sqDist(q, p)})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist2 != all[j].Dist2 {
-			return all[i].Dist2 < all[j].Dist2
-		}
-		return all[i].ID < all[j].ID
-	})
+	sortNeighbours(all)
 	if len(all) > k {
 		all = all[:k]
 	}

@@ -1,10 +1,11 @@
 package kdtree_test
 
-// Property suite for the KD-tree, driven by internal/testkit. The
-// tree's contract is exact: KNN returns the k smallest neighbours in
-// the canonical (distance, id) order, so every assertion compares
-// against the brute-force reference with == — on continuous matrices
-// (no ties) and on grid matrices (heavy ties and signed zeros) alike.
+// Property suite for the k-NN index, driven by internal/testkit. The
+// index's contract is exact: KNN and KNNExcept return the k smallest
+// neighbours in the canonical (distance, id) order, so every assertion
+// compares against the brute-force reference with == — on continuous
+// matrices (no ties) and on grid matrices (heavy ties and signed
+// zeros) alike.
 
 import (
 	"testing"
@@ -25,9 +26,9 @@ func neighboursEqual(a, b []kdtree.Neighbour) bool {
 	return true
 }
 
-// TestKNNMatchesBruteForce checks that the tree agrees with the O(n)
-// scan on both value regimes, with and without an exclusion filter,
-// for queries drawn both from the indexed points and from fresh
+// TestKNNMatchesBruteForce checks that the index agrees with the O(n)
+// scan on both value regimes, with and without an excluded row, for
+// queries drawn both from the indexed points and from fresh
 // locations.
 func TestKNNMatchesBruteForce(t *testing.T) {
 	testkit.Run(t, "kdtree/knn-vs-brute", 16, func(pt *testkit.T) {
@@ -37,29 +38,29 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 		if pt.Rng.Intn(2) == 0 {
 			pts = testkit.GridMatrix(pt.Rng, n, m)
 		}
-		tree := kdtree.Build(pts)
+		ix := kdtree.NewWeightedIndex(kdtree.Uniq(pts))
 		k := 1 + pt.Rng.Intn(n+2) // deliberately allowed to exceed n
-		var exclude func(int) bool
+		banned := -1
 		if pt.Rng.Intn(2) == 0 {
-			banned := pt.Rng.Intn(n)
-			exclude = func(id int) bool { return id == banned }
+			banned = pt.Rng.Intn(n)
 		}
+		exclude := func(id int) bool { return id == banned }
 		for trial := 0; trial < 5; trial++ {
 			q := pts[pt.Rng.Intn(n)]
 			if trial%2 == 0 {
 				q = testkit.Matrix(pt.Rng, 1, m)[0]
 			}
-			got := tree.KNN(q, k, exclude)
+			got := ix.KNNExcept(q, k, banned)
 			want := kdtree.BruteKNN(pts, q, k, exclude)
 			if !neighboursEqual(got, want) {
-				pt.Errorf("KNN(k=%d) disagrees with brute force:\ntree  %v\nbrute %v", k, got, want)
+				pt.Errorf("KNNExcept(k=%d, self=%d) disagrees with brute force:\nindex %v\nbrute %v", k, banned, got, want)
 				return
 			}
 		}
 	})
 }
 
-// TestKNNPermutationRelabelling: rebuilding the tree on permuted
+// TestKNNPermutationRelabelling: rebuilding the index on permuted
 // points returns the same neighbours under id relabelling whenever the
 // query's distances are tie-free (continuous matrices), because the
 // canonical order then reduces to distance order.
@@ -69,12 +70,12 @@ func TestKNNPermutationRelabelling(t *testing.T) {
 		m := 2 + pt.Rng.Intn(3)
 		pts := testkit.Matrix(pt.Rng, n, m)
 		p := testkit.Perm(pt.Rng, n)
-		tree := kdtree.Build(pts)
-		permTree := kdtree.Build(testkit.Permute(p, pts))
+		ix := kdtree.NewWeightedIndex(kdtree.Uniq(pts))
+		permIx := kdtree.NewWeightedIndex(kdtree.Uniq(testkit.Permute(p, pts)))
 		k := 1 + pt.Rng.Intn(n)
 		q := testkit.Matrix(pt.Rng, 1, m)[0]
-		base := tree.KNN(q, k, nil)
-		perm := permTree.KNN(q, k, nil)
+		base := ix.KNN(q, k)
+		perm := permIx.KNN(q, k)
 		if len(base) != len(perm) {
 			pt.Fatalf("neighbour counts differ: %d vs %d", len(base), len(perm))
 		}

@@ -1,9 +1,6 @@
 package kdtree
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // VectorKey appends an exact byte encoding of vec to dst and returns
 // the extended slice: 8 bytes per coordinate, the little-endian
@@ -66,66 +63,4 @@ func (s *WeightedSet) Rows() int {
 		n += len(m)
 	}
 	return n
-}
-
-// WeightedIndex answers instance-level k-NN queries over the original
-// matrix with one weighted query over its unique vectors: the SEL
-// selector's core data structure (DESIGN.md §10). For any query q
-// and k, KNN returns exactly BruteKNN(points, q, k, nil) — bitwise,
-// including (distance, id) tie order — because duplicate rows are
-// bitwise equal to their unique vector, so per-instance distances are
-// identical and the weighted query's distance-closed cover expands to
-// the canonical instance prefix.
-type WeightedIndex struct {
-	Set  *WeightedSet
-	flat *Flat
-}
-
-// NewWeightedIndex builds the weighted flattened tree over the set's
-// unique vectors.
-func NewWeightedIndex(s *WeightedSet) *WeightedIndex {
-	weights := make([]int, len(s.Vecs))
-	for u, m := range s.Members {
-		weights[u] = len(m)
-	}
-	return &WeightedIndex{Set: s, flat: BuildFlatWeighted(s.Vecs, weights)}
-}
-
-// Groups returns the distance-closed unique-vector cover of the k
-// nearest instances of q (see Flat.KNNWeighted); IDs index Set.Vecs.
-func (ix *WeightedIndex) Groups(q []float64, k int) []WeightedNeighbour {
-	return ix.flat.KNNWeighted(q, k)
-}
-
-// KNN returns the k nearest original rows of q by (distance, id),
-// bitwise equal to BruteKNN over the original matrix with no
-// exclusion. Only the first k members of any one group can survive
-// the final cut, so expansion is capped per group and the total work
-// beyond the weighted query is O(k log k).
-func (ix *WeightedIndex) KNN(q []float64, k int) []Neighbour {
-	if k <= 0 {
-		return nil
-	}
-	groups := ix.flat.KNNWeighted(q, k)
-	out := make([]Neighbour, 0, k+8)
-	for _, g := range groups {
-		mem := ix.Set.Members[g.ID]
-		take := len(mem)
-		if take > k {
-			take = k
-		}
-		for _, id := range mem[:take] {
-			out = append(out, Neighbour{ID: int(id), Dist2: g.Dist2})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist2 != out[j].Dist2 {
-			return out[i].Dist2 < out[j].Dist2
-		}
-		return out[i].ID < out[j].ID
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
 }

@@ -1,6 +1,6 @@
 // Package nn implements small feed-forward neural networks with
-// manual backpropagation: a plain MLP classifier and a
-// domain-adversarial network (DANN) with a gradient reversal layer.
+// manual backpropagation: a domain-adversarial network (DANN) with a
+// gradient reversal layer.
 // The DANN is the transfer mechanism behind the DTAL* baseline (Kasai
 // et al., 2019): a shared encoder feeds a label head trained on source
 // labels and a domain head whose gradient is reversed into the
@@ -8,7 +8,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -128,55 +127,6 @@ func (d *dense) update(gradOut []float64, lr float64) {
 		}
 		d.b[o] -= lr * g
 	}
-}
-
-// LayerParams is the serialised state of one dense layer.
-type LayerParams struct {
-	In   int       `json:"in"`
-	Out  int       `json:"out"`
-	ReLU bool      `json:"relu"`
-	W    []float64 `json:"w"`
-	B    []float64 `json:"b"`
-}
-
-// params exports the layer's weights for model serialisation.
-func (d *dense) params() LayerParams {
-	return LayerParams{In: d.in, Out: d.out, ReLU: d.relu, W: d.w, B: d.b}
-}
-
-// denseFromParams restores a layer from exported weights.
-func denseFromParams(p LayerParams) (*dense, error) {
-	if p.In < 1 || p.Out < 1 {
-		return nil, fmt.Errorf("nn: layer dims %dx%d", p.In, p.Out)
-	}
-	if len(p.W) != p.In*p.Out || len(p.B) != p.Out {
-		return nil, fmt.Errorf("nn: layer %dx%d has %d weights and %d biases", p.In, p.Out, len(p.W), len(p.B))
-	}
-	return &dense{in: p.In, out: p.Out, relu: p.ReLU, w: p.W, b: p.B}, nil
-}
-
-// stack is a sequence of dense layers.
-type stack []*dense
-
-func (s stack) forward(x []float64) []float64 {
-	for _, l := range s {
-		x = l.forward(x)
-	}
-	return x
-}
-
-func (s stack) apply(x []float64) []float64 {
-	for _, l := range s {
-		x = l.apply(x)
-	}
-	return x
-}
-
-func (s stack) backward(grad []float64, lr float64) []float64 {
-	for i := len(s) - 1; i >= 0; i-- {
-		grad = s[i].backward(grad, lr)
-	}
-	return grad
 }
 
 func sigmoid(z float64) float64 {

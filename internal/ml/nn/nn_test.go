@@ -5,59 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"transer/internal/ml"
 	"transer/internal/ml/mltest"
 )
-
-func TestMLPSeparable(t *testing.T) {
-	x, y := mltest.TwoBlobs(300, 4, 0.12, 1)
-	m := NewMLP(MLPConfig{Seed: 1})
-	if err := m.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	if acc := mltest.Accuracy(m.PredictProba(x), y); acc < 0.95 {
-		t.Errorf("training accuracy %.3f", acc)
-	}
-}
-
-func TestMLPXOR(t *testing.T) {
-	x, y := mltest.XOR(600, 0.05, 2)
-	m := NewMLP(MLPConfig{Hidden: []int{16}, Epochs: 150, Seed: 2})
-	if err := m.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	if acc := mltest.Accuracy(m.PredictProba(x), y); acc < 0.9 {
-		t.Errorf("XOR accuracy %.3f — MLP must solve non-linear problems", acc)
-	}
-}
-
-func TestMLPErrorsAndUntrained(t *testing.T) {
-	m := NewMLP(MLPConfig{})
-	if err := m.Fit(nil, nil); err == nil {
-		t.Errorf("empty fit accepted")
-	}
-	if p := m.PredictProba([][]float64{{0.5}}); p[0] != 0.5 {
-		t.Errorf("untrained MLP should predict 0.5, got %v", p[0])
-	}
-}
-
-func TestMLPDeterministic(t *testing.T) {
-	x, y := mltest.TwoBlobs(100, 3, 0.15, 3)
-	m1 := NewMLP(MLPConfig{Seed: 7})
-	m2 := NewMLP(MLPConfig{Seed: 7})
-	if err := m1.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	p1, p2 := m1.PredictProba(x), m2.PredictProba(x)
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("non-deterministic at %d", i)
-		}
-	}
-}
 
 // shiftedBlobs builds a target domain by translating the source blobs,
 // simulating a marginal distribution shift.
@@ -168,19 +117,4 @@ func TestDenseBackpropGradient(t *testing.T) {
 			t.Errorf("input gradient %d: analytic %v vs numeric %v", j, gIn[j], num)
 		}
 	}
-}
-
-func BenchmarkMLPFit(b *testing.B) {
-	x, y := mltest.TwoBlobs(500, 8, 0.15, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := NewMLP(MLPConfig{Epochs: 20, Seed: int64(i)})
-		if err := m.Fit(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestMLPParamsRoundTrip(t *testing.T) {
-	mltest.CheckParamRoundTrip(t, func() ml.ParamClassifier { return NewMLP(MLPConfig{Seed: 3, Epochs: 20}) }, 7)
 }

@@ -27,47 +27,39 @@ func xorProblem(n int, seed int64) ([][]float64, []int) {
 // this also proves the absence of data races on the weights.
 func TestPredictProbaPureAndConcurrent(t *testing.T) {
 	x, y := xorProblem(200, 1)
-	m := NewMLP(MLPConfig{Hidden: []int{8}, Epochs: 60, Seed: 3})
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
 	xt, _ := xorProblem(120, 2)
 	d := NewDANN(DANNConfig{Seed: 3})
 	if err := d.FitDomains(x, y, xt); err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]interface {
-		PredictProba([][]float64) []float64
-	}{"mlp": m, "dann": d} {
-		serial := c.PredictProba(x)
-		again := c.PredictProba(x)
-		for i := range serial {
-			if math.Float64bits(serial[i]) != math.Float64bits(again[i]) {
-				t.Fatalf("%s: repeated prediction differs at row %d", name, i)
-			}
+	serial := d.PredictProba(x)
+	again := d.PredictProba(x)
+	for i := range serial {
+		if math.Float64bits(serial[i]) != math.Float64bits(again[i]) {
+			t.Fatalf("dann: repeated prediction differs at row %d", i)
 		}
-		// Predict disjoint chunks concurrently on the shared model.
-		const chunks = 8
-		out := make([]float64, len(x))
-		var wg sync.WaitGroup
-		size := (len(x) + chunks - 1) / chunks
-		for lo := 0; lo < len(x); lo += size {
-			hi := lo + size
-			if hi > len(x) {
-				hi = len(x)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				copy(out[lo:hi], c.PredictProba(x[lo:hi]))
-			}(lo, hi)
+	}
+	// Predict disjoint chunks concurrently on the shared model.
+	const chunks = 8
+	out := make([]float64, len(x))
+	var wg sync.WaitGroup
+	size := (len(x) + chunks - 1) / chunks
+	for lo := 0; lo < len(x); lo += size {
+		hi := lo + size
+		if hi > len(x) {
+			hi = len(x)
 		}
-		wg.Wait()
-		for i := range serial {
-			if math.Float64bits(out[i]) != math.Float64bits(serial[i]) {
-				t.Fatalf("%s: concurrent chunked prediction differs at row %d: %v vs %v",
-					name, i, out[i], serial[i])
-			}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			copy(out[lo:hi], d.PredictProba(x[lo:hi]))
+		}(lo, hi)
+	}
+	wg.Wait()
+	for i := range serial {
+		if math.Float64bits(out[i]) != math.Float64bits(serial[i]) {
+			t.Fatalf("dann: concurrent chunked prediction differs at row %d: %v vs %v",
+				i, out[i], serial[i])
 		}
 	}
 }

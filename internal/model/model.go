@@ -30,7 +30,6 @@ import (
 	"transer/internal/ml"
 	"transer/internal/ml/forest"
 	"transer/internal/ml/logreg"
-	"transer/internal/ml/nn"
 	"transer/internal/ml/svm"
 	"transer/internal/ml/tree"
 	"transer/internal/pipeline"
@@ -155,7 +154,6 @@ var classifierFactories = map[string]func() ml.ParamClassifier{
 	"svm":      func() ml.ParamClassifier { return svm.New(svm.Config{}) },
 	"dtree":    func() ml.ParamClassifier { return tree.New(tree.Config{}) },
 	"rf":       func() ml.ParamClassifier { return forest.New(forest.Config{}) },
-	"mlp":      func() ml.ParamClassifier { return nn.NewMLP(nn.MLPConfig{}) },
 }
 
 // ClassifierTypes returns the registered classifier type identifiers

@@ -16,7 +16,6 @@ import (
 	"transer/internal/ml"
 	"transer/internal/ml/forest"
 	"transer/internal/ml/logreg"
-	"transer/internal/ml/nn"
 	"transer/internal/ml/svm"
 	"transer/internal/ml/tree"
 	"transer/internal/model"
@@ -35,7 +34,6 @@ var trainables = []struct {
 	{"svm", func() ml.ParamClassifier { return svm.New(svm.Config{}) }},
 	{"dtree", func() ml.ParamClassifier { return tree.New(tree.Config{Seed: 11}) }},
 	{"rf", func() ml.ParamClassifier { return forest.New(forest.Config{NumTrees: 5, Seed: 12}) }},
-	{"mlp", func() ml.ParamClassifier { return nn.NewMLP(nn.MLPConfig{Seed: 13, Epochs: 15}) }},
 }
 
 // trainingPairs derives a labelled comparison-vector set from a
@@ -238,6 +236,7 @@ func TestDecodeRejections(t *testing.T) {
 		"schema version":  corrupt(model.SchemaVersion, "transer.model/v99"),
 		"classifier type": corrupt(`"type": "constant"`, `"type": "nonesuch"`),
 		"retired knn":     corrupt(`"type": "constant"`, `"type": "knn"`),
+		"retired mlp":     corrupt(`"type": "constant"`, `"type": "mlp"`),
 		"attribute type":  corrupt(`"type": "year"`, `"type": "epoch"`),
 		"signature":       corrupt("quantize=0.05", "quantize=0.25"),
 		"threshold":       corrupt(`"threshold": 0.5`, `"threshold": 1.5`),
@@ -248,10 +247,12 @@ func TestDecodeRejections(t *testing.T) {
 			t.Errorf("Decode accepted artifact with corrupted %s", name)
 		}
 	}
-	// The k-NN classifier is no longer serialisable; an old artifact
-	// naming it fails as any unregistered type does.
-	if _, err := model.Decode(cases["retired knn"]); err == nil || !strings.Contains(err.Error(), `unknown classifier type "knn"`) {
-		t.Errorf("Decode of a knn artifact: %v, want the unknown classifier type error", err)
+	// The k-NN and MLP classifiers are no longer serialisable; an old
+	// artifact naming either fails as any unregistered type does.
+	for _, typ := range []string{"knn", "mlp"} {
+		if _, err := model.Decode(cases["retired "+typ]); err == nil || !strings.Contains(err.Error(), `unknown classifier type "`+typ+`"`) {
+			t.Errorf("Decode of a %s artifact: %v, want the unknown classifier type error", typ, err)
+		}
 	}
 }
 

@@ -4,8 +4,7 @@ import "strings"
 
 // This file holds additional comparators from the record linkage
 // literature beyond the core set: local alignment (Smith-Waterman),
-// the NYSIIS phonetic encoding, longest common subsequence, and the
-// overlap coefficient. They are available for custom comparison
+// longest common subsequence, and the overlap coefficient. They are available for custom comparison
 // schemes.
 
 // SmithWaterman returns the normalised local alignment similarity of a
@@ -138,99 +137,4 @@ func OverlapCoefficient(a, b string) float64 {
 		minSize = len(seen)
 	}
 	return float64(inter) / float64(minSize)
-}
-
-// NYSIIS returns the NYSIIS phonetic code of s, a more precise
-// alternative to Soundex for anglophone surnames. Empty or
-// non-alphabetic input yields an empty code. Codes are truncated to
-// the conventional six characters.
-func NYSIIS(s string) string {
-	up := make([]rune, 0, len(s))
-	for _, r := range strings.ToUpper(s) {
-		if r >= 'A' && r <= 'Z' {
-			up = append(up, r)
-		}
-	}
-	if len(up) == 0 {
-		return ""
-	}
-	w := string(up)
-	// Initial transformations.
-	switch {
-	case strings.HasPrefix(w, "MAC"):
-		w = "MCC" + w[3:]
-	case strings.HasPrefix(w, "KN"):
-		w = "NN" + w[2:]
-	case strings.HasPrefix(w, "K"):
-		w = "C" + w[1:]
-	case strings.HasPrefix(w, "PH"), strings.HasPrefix(w, "PF"):
-		w = "FF" + w[2:]
-	case strings.HasPrefix(w, "SCH"):
-		w = "SSS" + w[3:]
-	}
-	switch {
-	case strings.HasSuffix(w, "EE"), strings.HasSuffix(w, "IE"):
-		w = w[:len(w)-2] + "Y"
-	case strings.HasSuffix(w, "DT"), strings.HasSuffix(w, "RT"),
-		strings.HasSuffix(w, "RD"), strings.HasSuffix(w, "NT"),
-		strings.HasSuffix(w, "ND"):
-		w = w[:len(w)-2] + "D"
-	}
-	rs := []rune(w)
-	key := []rune{rs[0]}
-	isVowel := func(r rune) bool {
-		return r == 'A' || r == 'E' || r == 'I' || r == 'O' || r == 'U'
-	}
-	for i := 1; i < len(rs); i++ {
-		c := rs[i]
-		var repl string
-		switch {
-		case c == 'E' && i+1 < len(rs) && rs[i+1] == 'V':
-			repl = "AF"
-		case isVowel(c):
-			repl = "A"
-		case c == 'Q':
-			repl = "G"
-		case c == 'Z':
-			repl = "S"
-		case c == 'M':
-			repl = "N"
-		case c == 'K':
-			if i+1 < len(rs) && rs[i+1] == 'N' {
-				repl = "N"
-			} else {
-				repl = "C"
-			}
-		case c == 'S' && i+2 < len(rs) && rs[i+1] == 'C' && rs[i+2] == 'H':
-			repl = "SSS"
-		case c == 'P' && i+1 < len(rs) && rs[i+1] == 'H':
-			repl = "FF"
-		case c == 'H' && (i+1 >= len(rs) || !isVowel(rs[i+1]) || !isVowel(rs[i-1])):
-			repl = string(rs[i-1])
-		case c == 'W' && isVowel(rs[i-1]):
-			repl = string(rs[i-1])
-		default:
-			repl = string(c)
-		}
-		for _, r := range repl {
-			if len(key) == 0 || key[len(key)-1] != r {
-				key = append(key, r)
-			}
-		}
-	}
-	// Final transformations.
-	out := string(key)
-	if strings.HasSuffix(out, "S") && len(out) > 1 {
-		out = out[:len(out)-1]
-	}
-	if strings.HasSuffix(out, "AY") {
-		out = out[:len(out)-2] + "Y"
-	}
-	if strings.HasSuffix(out, "A") && len(out) > 1 {
-		out = out[:len(out)-1]
-	}
-	if len(out) > 6 {
-		out = out[:6]
-	}
-	return out
 }

@@ -81,29 +81,6 @@ func TestOverlapCoefficient(t *testing.T) {
 	}
 }
 
-func TestNYSIIS(t *testing.T) {
-	// Equivalence classes the encoding must preserve.
-	same := [][2]string{
-		{"KNIGHT", "NIGHT"},
-		{"PHILIP", "FILIP"},
-	}
-	for _, pair := range same {
-		a, b := NYSIIS(pair[0]), NYSIIS(pair[1])
-		if a == "" || a != b {
-			t.Errorf("NYSIIS(%q)=%q != NYSIIS(%q)=%q", pair[0], a, pair[1], b)
-		}
-	}
-	if NYSIIS("") != "" {
-		t.Errorf("empty input should give empty code")
-	}
-	if NYSIIS("12 34") != "" {
-		t.Errorf("non-alphabetic input should give empty code")
-	}
-	if got := NYSIIS("MACDONALD"); got == "" || got[0] != 'M' {
-		t.Errorf("NYSIIS(MACDONALD) = %q", got)
-	}
-}
-
 func TestPropertyExtraSimilarities(t *testing.T) {
 	fns := map[string]func(a, b string) float64{
 		"SmithWaterman": SmithWaterman,
@@ -124,19 +101,5 @@ func TestPropertyExtraSimilarities(t *testing.T) {
 		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("%s property failed: %v", name, err)
 		}
-	}
-}
-
-func TestPropertyNYSIISStable(t *testing.T) {
-	prop := func(s string) bool {
-		s = clip(s)
-		code := NYSIIS(s)
-		if len(code) > 6 {
-			return false
-		}
-		return NYSIIS(s) == code // deterministic
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Errorf("NYSIIS property failed: %v", err)
 	}
 }

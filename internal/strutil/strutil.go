@@ -294,108 +294,3 @@ func NumericSim(a, b, maxDiff float64) float64 {
 func YearSim(a, b int, maxDiff int) float64 {
 	return NumericSim(float64(a), float64(b), float64(maxDiff))
 }
-
-// Soundex returns the 4-character American Soundex code of s; it is
-// used to build phonetic blocking keys for person names. Empty or
-// non-alphabetic input yields an empty code.
-func Soundex(s string) string {
-	up := strings.ToUpper(strings.TrimSpace(s))
-	var first byte
-	var rest []byte
-	for i := 0; i < len(up); i++ {
-		c := up[i]
-		if c < 'A' || c > 'Z' {
-			continue
-		}
-		if first == 0 {
-			first = c
-			continue
-		}
-		rest = append(rest, c)
-	}
-	if first == 0 {
-		return ""
-	}
-	code := []byte{first}
-	last := soundexDigit(first)
-	for _, c := range rest {
-		d := soundexDigit(c)
-		if d == 0 {
-			if c != 'H' && c != 'W' {
-				last = 0
-			}
-			continue
-		}
-		if d != last {
-			code = append(code, '0'+d)
-			if len(code) == 4 {
-				break
-			}
-		}
-		last = d
-	}
-	for len(code) < 4 {
-		code = append(code, '0')
-	}
-	return string(code)
-}
-
-func soundexDigit(c byte) byte {
-	switch c {
-	case 'B', 'F', 'P', 'V':
-		return 1
-	case 'C', 'G', 'J', 'K', 'Q', 'S', 'X', 'Z':
-		return 2
-	case 'D', 'T':
-		return 3
-	case 'L':
-		return 4
-	case 'M', 'N':
-		return 5
-	case 'R':
-		return 6
-	}
-	return 0
-}
-
-// LongestCommonSubstring returns the length of the longest common
-// contiguous substring of a and b.
-func LongestCommonSubstring(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	best := 0
-	for i := 1; i <= len(ra); i++ {
-		for j := 1; j <= len(rb); j++ {
-			if ra[i-1] == rb[j-1] {
-				cur[j] = prev[j-1] + 1
-				if cur[j] > best {
-					best = cur[j]
-				}
-			} else {
-				cur[j] = 0
-			}
-		}
-		prev, cur = cur, prev
-		for j := range cur {
-			cur[j] = 0
-		}
-	}
-	return best
-}
-
-// LCSSim normalises LongestCommonSubstring by the shorter string's
-// length, yielding a similarity in [0, 1].
-func LCSSim(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	return float64(LongestCommonSubstring(a, b)) / float64(min(la, lb))
-}

@@ -196,47 +196,6 @@ func TestYearSim(t *testing.T) {
 	almost(t, YearSim(1970, 1980, 2), 0, 1e-9, "far years")
 }
 
-func TestSoundex(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"Robert", "R163"},
-		{"Rupert", "R163"},
-		{"Ashcraft", "A261"},
-		{"Ashcroft", "A261"},
-		{"Tymczak", "T522"},
-		{"Pfister", "P236"},
-		{"Honeyman", "H555"},
-		{"", ""},
-		{"123", ""},
-	}
-	for _, c := range cases {
-		if got := Soundex(c.in); got != c.want {
-			t.Errorf("Soundex(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestLongestCommonSubstring(t *testing.T) {
-	if got := LongestCommonSubstring("abcdef", "zcdemn"); got != 3 {
-		t.Errorf("LCS(abcdef,zcdemn) = %d, want 3 (cde)", got)
-	}
-	if got := LongestCommonSubstring("", "abc"); got != 0 {
-		t.Errorf("LCS with empty should be 0")
-	}
-	if got := LongestCommonSubstring("abc", "abc"); got != 3 {
-		t.Errorf("LCS of identical = %d, want 3", got)
-	}
-}
-
-func TestLCSSim(t *testing.T) {
-	if LCSSim("", "") != 1 {
-		t.Errorf("empties should be 1")
-	}
-	if LCSSim("abc", "") != 0 {
-		t.Errorf("one empty should be 0")
-	}
-	almost(t, LCSSim("abxy", "ab"), 1, 1e-9, "substring contained")
-}
-
 // --- property-based tests -------------------------------------------------
 
 // limit generated strings to something printable and short so quick
@@ -261,7 +220,6 @@ func TestPropertySimilarityRangeAndSymmetry(t *testing.T) {
 		{"JaccardTokens", JaccardTokens, true},
 		{"Dice", Dice, true},
 		{"SymMongeElkan", SymMongeElkan, true},
-		{"LCSSim", LCSSim, true},
 	}
 	for _, f := range fns {
 		f := f
@@ -306,33 +264,6 @@ func TestPropertyLevenshteinMetric(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Errorf("Levenshtein is not a metric: %v", err)
-	}
-}
-
-func TestPropertySoundexStable(t *testing.T) {
-	prop := func(s string) bool {
-		s = clip(s)
-		code := Soundex(s)
-		if code == "" {
-			return true
-		}
-		// Codes are always length 4, letter followed by digits.
-		if len(code) != 4 {
-			return false
-		}
-		if code[0] < 'A' || code[0] > 'Z' {
-			return false
-		}
-		for i := 1; i < 4; i++ {
-			if code[i] < '0' || code[i] > '9' {
-				return false
-			}
-		}
-		// Deterministic.
-		return Soundex(s) == code
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Errorf("Soundex property failed: %v", err)
 	}
 }
 

@@ -184,7 +184,7 @@ func CheckTransER(t TB, d testkit.Domain, factory ml.Factory, cfg core.Config) *
 // SelectInstances is the per-instance SEL oracle: it keeps source row
 // i iff core.Similarities for row i passes the t_c/t_l (and, with
 // +sim_v, t_v) thresholds under cfg's ablation flags, straight from
-// the paper's definition with one pointer-tree query per row and no
+// the paper's definition with one index query per row and no
 // deduplication. core.SelectInstances must return exactly this.
 func SelectInstances(xs [][]float64, ys []int, xt [][]float64, cfg core.Config) []int {
 	keep := make([]int, 0, len(xs))

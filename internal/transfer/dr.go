@@ -24,23 +24,27 @@ import (
 // personal data: a typo or abbreviation maps a value to an unrelated
 // vector, so the representation carries little string-variation signal
 // and transfer turns negative — the failure mode the paper reports.
+//
+// The density-ratio weights are exact k-NN distances, answered by
+// kdtree.WeightedIndex over the distinct embedded rows of subsampled
+// reference sets.
 type DR struct {
-	// EmbedDim is the per-attribute embedding width; 0 means 8.
-	EmbedDim int
-	// SubwordWeight blends FastText-style subword vectors (0 = pure
-	// word hashing, the default OOV-failure mode).
-	SubwordWeight float64
-	// WeightK is the neighbourhood size of the density-ratio instance
-	// weighting; 0 means 5.
-	WeightK int
-	// MaxWeightRef caps the reference-set size for the density-ratio
-	// estimate; 0 means 2000. KD-tree queries degenerate to linear
-	// scans in the high-dimensional embedding space, so the densities
-	// are estimated against a subsample.
-	MaxWeightRef int
 	// Seed drives embedding hashing and the weighted resampling.
 	Seed int64
 }
+
+const (
+	// drEmbedDim is the per-attribute embedding width.
+	drEmbedDim = 8
+	// drWeightK is the neighbourhood size of the density-ratio
+	// instance weighting.
+	drWeightK = 5
+	// drMaxWeightRef caps the reference-set size for the density-ratio
+	// estimate. Exact k-NN in the high-dimensional embedding space is
+	// close to a linear scan per query, so the densities are estimated
+	// against a subsample.
+	drMaxWeightRef = 2000
+)
 
 // Name implements Method.
 func (DR) Name() string { return "DR" }
@@ -58,48 +62,32 @@ func (c DR) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	if len(t.SourcePairs) != len(t.XS) || len(t.TargetPairs) != len(t.XT) {
 		return nil, errors.New("dr: pair lists misaligned with feature matrices")
 	}
-	dim := c.EmbedDim
-	if dim == 0 {
-		dim = 8
-	}
-	wk := c.WeightK
-	if wk == 0 {
-		wk = 5
-	}
-
 	stage := sp.Child("represent")
-	zs, zt := c.represent(t, dim)
+	zs, zt := c.represent(t)
 	stage.End()
 
 	// Instance weighting: approximate the density ratio p_T(x)/p_S(x)
 	// per source instance by the ratio of its kNN distances within the
 	// source vs into the target (closer target neighbourhood => higher
 	// weight), then resample the source proportionally. Densities are
-	// estimated against subsampled reference sets: exact k-NN in the
-	// high-dimensional embedding space costs a linear scan per query.
+	// estimated against subsampled reference sets (drMaxWeightRef).
 	stage = sp.Child("weight")
-	maxRef := c.MaxWeightRef
-	if maxRef == 0 {
-		maxRef = 2000
-	}
 	refRng := rand.New(rand.NewSource(c.Seed + 1))
-	refS := subsampleRows(refRng, zs, maxRef)
-	refT := subsampleRows(refRng, zt, maxRef)
-	srcTree := kdtree.Build(refS)
-	tgtTree := kdtree.Build(refT)
+	srcIx := kdtree.NewWeightedIndex(kdtree.Uniq(subsampleRows(refRng, zs, drMaxWeightRef)))
+	tgtIx := kdtree.NewWeightedIndex(kdtree.Uniq(subsampleRows(refRng, zt, drMaxWeightRef)))
 	weights := make([]float64, len(zs))
 	for i, z := range zs {
 		// Exclude exact self-duplicates by distance: the subsample may
 		// or may not contain row i itself, so drop one zero-distance
 		// neighbour instead of tracking identity.
-		nnS := srcTree.KNN(z, wk+1, nil)
+		nnS := srcIx.KNN(z, drWeightK+1)
 		if len(nnS) > 0 && nnS[0].Dist2 == 0 {
 			nnS = nnS[1:]
-		} else if len(nnS) > wk {
-			nnS = nnS[:wk]
+		} else if len(nnS) > drWeightK {
+			nnS = nnS[:drWeightK]
 		}
 		dS := meanDist(nnS)
-		dT := meanDist(tgtTree.KNN(z, wk, nil))
+		dT := meanDist(tgtIx.KNN(z, drWeightK))
 		switch {
 		case dT <= 0 && dS <= 0:
 			weights[i] = 1
@@ -124,8 +112,8 @@ func (c DR) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	// tree ensembles on the wide embedding space are expensive.
 	stage = sp.Child("resample")
 	trainCap := len(zs)
-	if trainCap > 4*maxRef {
-		trainCap = 4 * maxRef
+	if trainCap > 4*drMaxWeightRef {
+		trainCap = 4 * drMaxWeightRef
 	}
 	rx, ry := resampleWeightedN(zs, t.YS, weights, c.Seed, trainCap)
 	stage.End()
@@ -141,8 +129,8 @@ func (c DR) Run(t *Task, factory ml.Factory) (*Result, error) {
 // distributed representation: per attribute, the embedder's pair
 // features of the two values. Records recur across candidate pairs,
 // so each distinct attribute value is embedded once.
-func (c DR) represent(t *Task, dim int) (zs, zt [][]float64) {
-	emb := embed.New(dim, c.SubwordWeight, c.Seed)
+func (c DR) represent(t *Task) (zs, zt [][]float64) {
+	emb := embed.New(drEmbedDim, c.Seed)
 	values := map[string][]float64{}
 	value := func(s string) []float64 {
 		v, ok := values[s]
@@ -157,7 +145,7 @@ func (c DR) represent(t *Task, dim int) (zs, zt [][]float64) {
 		out := make([][]float64, len(pairs))
 		for i, p := range pairs {
 			ra, rb := a.Records[p.A], b.Records[p.B]
-			row := make([]float64, 0, m*(dim+1))
+			row := make([]float64, 0, m*(drEmbedDim+1))
 			for q := 0; q < m; q++ {
 				row = append(row, emb.PairFeaturesOf(value(ra.Values[q]), value(rb.Values[q]))...)
 			}

@@ -54,9 +54,8 @@ func TestDRSeedDeterminism(t *testing.T) {
 func TestDRRepresentMemoBitwise(t *testing.T) {
 	task, _ := domainTask(datagen.DBLPACM(0.05), datagen.DBLPScholar(0.05))
 	c := DR{Seed: 5}
-	const dim = 8
-	zs, zt := c.represent(task, dim)
-	emb := embed.New(dim, c.SubwordWeight, c.Seed)
+	zs, zt := c.represent(task)
+	emb := embed.New(drEmbedDim, c.Seed)
 	check := func(side string, got [][]float64, a, b *dataset.Database, pairs []dataset.Pair) {
 		if len(got) != len(pairs) {
 			t.Fatalf("%s: %d rows for %d pairs", side, len(got), len(pairs))
@@ -65,7 +64,7 @@ func TestDRRepresentMemoBitwise(t *testing.T) {
 			ra, rb := a.Records[p.A], b.Records[p.B]
 			var want []float64
 			for q := range ra.Values {
-				want = append(want, emb.PairFeatures(ra.Values[q], rb.Values[q])...)
+				want = append(want, emb.PairFeaturesOf(emb.Value(ra.Values[q]), emb.Value(rb.Values[q]))...)
 			}
 			if len(got[i]) != len(want) {
 				t.Fatalf("%s row %d: %d features, want %d", side, i, len(got[i]), len(want))

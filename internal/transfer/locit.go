@@ -97,7 +97,7 @@ func (c LocIT) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 		maxPts = 400
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
-	tree := kdtree.Build(t.XT)
+	ix := kdtree.NewWeightedIndex(kdtree.Uniq(t.XT))
 
 	// Build the transfer classifier's training set from the target.
 	idx := subsample(rng, len(t.XT), maxPts)
@@ -105,7 +105,7 @@ func (c LocIT) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	var fy []int
 	for _, i := range idx {
 		v := t.XT[i]
-		own := tree.KNN(v, k, func(id int) bool { return id == i })
+		own := ix.KNNExcept(v, k, i)
 		if len(own) == 0 {
 			continue
 		}
@@ -122,7 +122,7 @@ func (c LocIT) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 				far = j
 			}
 		}
-		farNbr := tree.KNN(t.XT[far], k, func(id int) bool { return id == far })
+		farNbr := ix.KNNExcept(t.XT[far], k, far)
 		if len(farNbr) == 0 {
 			continue
 		}
@@ -144,7 +144,7 @@ func (c LocIT) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	var selY []int
 	srcFeats := make([][]float64, 0, len(t.XS))
 	for _, x := range t.XS {
-		nbr := tree.KNN(x, k, nil)
+		nbr := ix.KNN(x, k)
 		srcFeats = append(srcFeats, pairFeatures(x, nbr, t.XT))
 	}
 	proba := sel.PredictProba(srcFeats)
