@@ -2,14 +2,10 @@ package transer
 
 import (
 	"fmt"
-	"time"
 
-	"transer/internal/eval"
+	"transer/internal/experiments"
 	"transer/internal/ml"
 	"transer/internal/ml/forest"
-	"transer/internal/ml/logreg"
-	"transer/internal/ml/svm"
-	"transer/internal/ml/tree"
 	"transer/internal/transfer"
 )
 
@@ -24,14 +20,10 @@ func DefaultClassifier() ClassifierFactory {
 
 // StandardClassifiers returns the four classifiers the paper averages
 // its linkage quality results over (Section 5.1.1): a linear SVM, a
-// random forest, a logistic regression, and a decision tree.
+// random forest, a logistic regression, and a decision tree — the set
+// the experiments use.
 func StandardClassifiers(seed int64) []NamedClassifier {
-	return []NamedClassifier{
-		{Name: "svm", New: svm.Factory(svm.Config{Seed: seed})},
-		{Name: "rf", New: forest.Factory(forest.Config{Seed: seed})},
-		{Name: "logreg", New: logreg.Factory(logreg.Config{})},
-		{Name: "dtree", New: tree.Factory(tree.Config{Seed: seed})},
-	}
+	return experiments.StandardClassifiers(seed)
 }
 
 // Method is one transfer approach (TransER or a baseline).
@@ -68,20 +60,11 @@ func TransERWithConfig(cfg Config) Method {
 	return transfer.TransER{Config: cfg}
 }
 
-// MethodEvaluation is the outcome of running one method over the
-// standard classifier set on one source→target task.
-type MethodEvaluation struct {
-	// Method is the method display name.
-	Method string
-	// PerClassifier holds one Metrics per standard classifier.
-	PerClassifier []Metrics
-	// Aggregate is mean ± std over PerClassifier, the format of the
-	// paper's Table 2.
-	Aggregate eval.MetricsAggregate
-	// Runtime is the total wall-clock across the classifier sweep
-	// (Table 3 reports this per method).
-	Runtime time.Duration
-}
+// MethodEvaluation is the outcome of running one method over a
+// classifier set on one source→target task: per-classifier and
+// aggregate quality, and Runtime, the cost of one classifier run as
+// Table 3 charges it (prepare time plus mean fit time).
+type MethodEvaluation = experiments.MethodEvaluation
 
 // newTask converts a source/target Domain pair into the internal task
 // representation consumed by transfer methods.
@@ -106,32 +89,21 @@ func RunMethod(m Method, source, target *Domain, factory ClassifierFactory) (*Re
 	return &Result{Labels: res.Labels, Proba: res.Proba, Classifier: res.Classifier}, nil
 }
 
-// EvaluateMethod runs a method once per standard classifier and
-// aggregates linkage quality against the target's ground truth —
-// exactly the paper's Table 2 protocol. The method's
-// classifier-independent work is prepared once and shared by the
-// classifier runs. The target must be labelled.
+// EvaluateMethod runs a method once per classifier (nil means
+// StandardClassifiers(1)) and aggregates linkage quality against the
+// target's ground truth — exactly the paper's Table 2 protocol. The
+// method's classifier-independent work is prepared once and shared by
+// the classifier runs. The target must be labelled.
 func EvaluateMethod(m Method, source, target *Domain, classifiers []NamedClassifier) (MethodEvaluation, error) {
-	out := MethodEvaluation{Method: m.Name()}
 	if target.Y == nil {
-		return out, fmt.Errorf("transer: target domain %q has no ground truth to evaluate against", target.Name)
+		return MethodEvaluation{Method: m.Name()}, fmt.Errorf("transer: target domain %q has no ground truth to evaluate against", target.Name)
 	}
 	if len(classifiers) == 0 {
 		classifiers = StandardClassifiers(1)
 	}
-	start := time.Now()
-	p, err := m.Prepare(newTask(source, target), nil)
+	ev, err := experiments.EvaluateMethod(m, newTask(source, target), target.Y, classifiers, nil)
 	if err != nil {
-		return out, fmt.Errorf("transer: %s: %w", m.Name(), err)
+		return ev, fmt.Errorf("transer: %w", err)
 	}
-	for _, c := range classifiers {
-		res, err := p.Fit(c.New, nil)
-		if err != nil {
-			return out, fmt.Errorf("transer: %s with %s: %w", m.Name(), c.Name, err)
-		}
-		out.PerClassifier = append(out.PerClassifier, eval.Evaluate(res.Labels, target.Y))
-	}
-	out.Runtime = time.Since(start)
-	out.Aggregate = eval.AggregateMetrics(out.PerClassifier)
-	return out, nil
+	return ev, nil
 }

@@ -1,8 +1,9 @@
 // Multisource: when several labelled data sets could serve as the
-// source domain, rank them by transferability and transfer from the
-// best — the paper's "choose the best source domain" future-work
-// extension. Also demonstrates semi-supervised and active-learning
-// transfer, plus one-to-one match post-processing.
+// source domain, rank them by domain-signature similarity to the
+// target and transfer from the best — the paper's "choose the best
+// source domain" future-work extension. Also demonstrates
+// semi-supervised and active-learning transfer, plus one-to-one match
+// post-processing.
 //
 // Run with:
 //
@@ -54,8 +55,8 @@ func main() {
 	}
 	fmt.Println("source ranking (best first):")
 	for _, r := range ranking {
-		fmt.Printf("  %-12s score=%.3f (selected %.0f%%, mean sim_l %.3f)\n",
-			r.Name, r.Score, 100*r.SelectedFrac, r.MeanSimL)
+		fmt.Printf("  %-12s score=%.3f (fields %.3f, tokens %.3f, centroids %.3f)\n",
+			r.Name, r.Score, r.Components.Fields, r.Components.Tokens, r.Components.Centroids)
 	}
 
 	res, ranking, err := transer.TransferMultiSource([]*transer.Domain{mb, msdOld}, target)
@@ -82,7 +83,7 @@ func main() {
 
 	// Active learning: spend 50 oracle queries on the most uncertain pairs.
 	oracle := func(i int) int { return target.Y[i] }
-	active, err := transer.TransferActive(best, target, oracle, 50, 5)
+	active, err := transer.TransferActive(best, target, oracle, 50)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,11 +3,14 @@ package transer
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"transer/internal/cluster"
 	"transer/internal/core"
 	"transer/internal/dataset"
+	"transer/internal/model"
 	"transer/internal/pipeline"
+	"transer/internal/repo"
 )
 
 // This file exposes the paper's future-work extensions (Section 6),
@@ -57,14 +60,40 @@ func (s *DomainStore) Domain(key string, scale float64) (*Domain, error) {
 // Stats snapshots the store's cache counters.
 func (s *DomainStore) Stats() CacheStats { return s.store.Stats() }
 
-// SourceScore ranks one candidate source domain's transferability.
-type SourceScore = core.SourceScore
+// SourceScore ranks one candidate source domain's transferability to
+// a target.
+type SourceScore struct {
+	// Index into the candidate slice, Name copied from it.
+	Index int
+	Name  string
+	// Score is the similarity of the source's domain signature to the
+	// target's, in [0, 1]: the score model-repository search ranks
+	// catalogued models by.
+	Score float64
+	// Components breaks Score into its parts.
+	Components repo.Components
+}
 
-// RankSources scores labelled candidate source domains against an
-// unlabelled target, best first — the "choose the best source domain"
-// extension. All domains must share the target's feature space.
+// RankSources scores labelled candidate source domains against a
+// target, best first (ties by candidate order) — the "choose the best
+// source domain" extension. Every domain is reduced to its model
+// repository signature (field statistics, a token sketch and the
+// dominant compare vectors) and scored with repo.Similarity, as
+// catalog search does. All domains must share the target's feature
+// space; the target needs no labels. The signature ranker has no
+// settings, so cfg does not affect the ranking.
 func RankSources(sources []*Domain, target *Domain, cfg Config) ([]SourceScore, error) {
-	cands := make([]core.Source, 0, len(sources))
+	if len(sources) == 0 {
+		return nil, errors.New("transer: no candidate sources")
+	}
+	if target == nil || len(target.X) == 0 {
+		return nil, errors.New("transer: empty target domain")
+	}
+	tsig, err := signatureOf(target)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]SourceScore, len(sources))
 	for i, s := range sources {
 		if s == nil {
 			return nil, fmt.Errorf("transer: nil source at %d", i)
@@ -72,9 +101,26 @@ func RankSources(sources []*Domain, target *Domain, cfg Config) ([]SourceScore, 
 		if !s.Labelled() {
 			return nil, fmt.Errorf("transer: source %q has no labels", s.Name)
 		}
-		cands = append(cands, core.Source{Name: s.Name, X: s.X, Y: s.Y})
+		if s.NumFeatures() != target.NumFeatures() {
+			return nil, fmt.Errorf("transer: source %q has %d features, target has %d", s.Name, s.NumFeatures(), target.NumFeatures())
+		}
+		ssig, err := signatureOf(s)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = SourceScore{Index: i, Name: s.Name}
+		out[i].Score, out[i].Components = repo.Similarity(tsig, ssig)
 	}
-	return core.RankSources(cands, target.X, cfg)
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Score > out[b].Score })
+	return out, nil
+}
+
+// signatureOf reduces a domain to its model repository signature.
+func signatureOf(d *Domain) (*model.Signature, error) {
+	if d.A == nil || d.B == nil {
+		return nil, fmt.Errorf("transer: domain %q has no databases to sign", d.Name)
+	}
+	return repo.BuildSignature(d.A, d.B, d.X), nil
 }
 
 // TransferMultiSource ranks the candidate sources and transfers from
@@ -131,9 +177,10 @@ type ActiveResult struct {
 }
 
 // TransferActive integrates TransER with uncertainty-sampling active
-// learning: up to budget oracle queries are spent over the given
-// number of rounds on the most uncertain target pairs.
-func TransferActive(source, target *Domain, oracle Oracle, budget, rounds int, opts ...TransferOption) (*ActiveResult, error) {
+// learning: the budget target pairs whose pseudo labels are least
+// confident are sent to the oracle, and its answers anchor the final
+// classifier as in TransferSemiSupervised.
+func TransferActive(source, target *Domain, oracle Oracle, budget int, opts ...TransferOption) (*ActiveResult, error) {
 	if source == nil || target == nil {
 		return nil, errors.New("transer: nil domain")
 	}
@@ -144,7 +191,7 @@ func TransferActive(source, target *Domain, oracle Oracle, budget, rounds int, o
 	for _, opt := range opts {
 		opt(&o)
 	}
-	res, err := core.RunActive(source.X, source.Y, target.X, o.factory, o.cfg, oracle, budget, rounds)
+	res, err := core.RunActive(source.X, source.Y, target.X, o.factory, o.cfg, oracle, budget)
 	if err != nil {
 		return nil, err
 	}

@@ -2,34 +2,83 @@ package transer
 
 import "testing"
 
+// TestRankSourcesPublicAPI: probing with each builtin re-sampled at
+// scale 0.2, the ranker puts the same dataset at scale 0.25 first among
+// the builtins of its schema family (those sharing its feature space).
 func TestRankSourcesPublicAPI(t *testing.T) {
-	tasks := PaperTasks(0.05)
-	msd, err := BuildDomain(tasks[2].Source) // MSD
+	st := NewDomainStore()
+	keys := DatasetKeys()
+	cands := make([]*Domain, len(keys))
+	for i, k := range keys {
+		d, err := st.Domain(k, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands[i] = d
+	}
+	for _, k := range keys {
+		probe, err := st.Domain(k, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var family []*Domain
+		var familyKeys []string
+		for i, c := range cands {
+			if c.NumFeatures() == probe.NumFeatures() {
+				family = append(family, c)
+				familyKeys = append(familyKeys, keys[i])
+			}
+		}
+		if len(family) < 2 {
+			t.Fatalf("%s: family of %d, want a choice", k, len(family))
+		}
+		ranking, err := RankSources(family, probe, DefaultConfig())
+		if err != nil {
+			t.Fatalf("RankSources(%s): %v", k, err)
+		}
+		if got := familyKeys[ranking[0].Index]; got != k {
+			t.Errorf("probing with %s ranked %s first: %+v", k, got, ranking)
+		}
+		for j := 1; j < len(ranking); j++ {
+			if ranking[j-1].Score < ranking[j].Score {
+				t.Errorf("%s: ranking unsorted: %+v", k, ranking)
+			}
+		}
+	}
+}
+
+func TestRankSourcesValidation(t *testing.T) {
+	src, tgt, err := BuildDomains(tinyTask())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := BuildDomain(tasks[2].Target) // MB
+	unl, err := NewDomain(src.A, src.B, WithoutLabels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := BuildDomain(tasks[3].Target) // MSD again (fresh build)
+	narrow := *src
+	narrow.X = [][]float64{{1}}
+	for name, c := range map[string]struct {
+		sources []*Domain
+		target  *Domain
+	}{
+		"no sources":       {nil, tgt},
+		"nil target":       {[]*Domain{src}, nil},
+		"nil source":       {[]*Domain{src, nil}, tgt},
+		"unlabelled":       {[]*Domain{unl}, tgt},
+		"feature mismatch": {[]*Domain{&narrow}, tgt},
+	} {
+		if _, err := RankSources(c.sources, c.target, DefaultConfig()); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// The target needs no labels.
+	tgtU, err := NewDomain(tgt.A, tgt.B, WithoutLabels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranking, err := RankSources([]*Domain{msd, mb}, target, DefaultConfig())
-	if err != nil {
-		t.Fatalf("RankSources: %v", err)
-	}
-	if len(ranking) != 2 {
-		t.Fatalf("expected 2 scores, got %d", len(ranking))
-	}
-	if ranking[0].Score < ranking[1].Score {
-		t.Errorf("ranking unsorted")
-	}
-	// Unlabelled source rejected.
-	unl, _ := NewDomain(tasks[2].Source.A, tasks[2].Source.B, WithoutLabels())
-	if _, err := RankSources([]*Domain{unl}, target, DefaultConfig()); err == nil {
-		t.Errorf("unlabelled source accepted")
+	if _, err := RankSources([]*Domain{src}, tgtU, DefaultConfig()); err != nil {
+		t.Errorf("unlabelled target rejected: %v", err)
 	}
 }
 
@@ -83,7 +132,7 @@ func TestTransferActivePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := func(i int) int { return tgt.Y[i] }
-	res, err := TransferActive(src, tgt, oracle, 20, 2)
+	res, err := TransferActive(src, tgt, oracle, 20)
 	if err != nil {
 		t.Fatalf("TransferActive: %v", err)
 	}
@@ -94,7 +143,7 @@ func TestTransferActivePublicAPI(t *testing.T) {
 	if m.FStar <= 0 {
 		t.Errorf("active transfer learned nothing")
 	}
-	if _, err := TransferActive(src, tgt, nil, 20, 2); err == nil {
+	if _, err := TransferActive(src, tgt, nil, 20); err == nil {
 		t.Errorf("nil oracle accepted")
 	}
 }

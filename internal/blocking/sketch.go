@@ -4,9 +4,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-
-	"transer/internal/dataset"
-	"transer/internal/strutil"
 )
 
 // KMV is a k-minimum-values cardinality sketch over a hashed token
@@ -151,24 +148,4 @@ func (s *KMV) Merged(o *KMV) float64 {
 		u.addMixed(h)
 	}
 	return u.Estimate()
-}
-
-// TokenSketch builds a KMV sketch of the word tokens of one attribute
-// column (attr < 0 sketches every attribute) and also returns the
-// total token count, so callers get both the distinct estimate and the
-// mean tokens per record from one pass.
-func TokenSketch(db *dataset.Database, attr, k int) (sketch *KMV, tokens int) {
-	s := NewKMV(k)
-	for _, r := range db.Records {
-		for j, v := range r.Values {
-			if attr >= 0 && j != attr {
-				continue
-			}
-			for _, t := range strutil.Tokens(v) {
-				s.AddToken(t)
-				tokens++
-			}
-		}
-	}
-	return s, tokens
 }

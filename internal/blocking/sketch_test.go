@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"transer/internal/dataset"
 )
 
 func TestKMVExactBelowK(t *testing.T) {
@@ -65,28 +63,5 @@ func TestKMVMerged(t *testing.T) {
 	// Identical sketches: union estimate equals the single estimate.
 	if got := a.Merged(a); got != a.Estimate() {
 		t.Errorf("self-union %v != estimate %v", got, a.Estimate())
-	}
-}
-
-func TestTokenSketchCountsTokens(t *testing.T) {
-	sch := dataset.Schema{Attributes: []dataset.Attribute{
-		{Name: "name", Type: dataset.AttrName},
-		{Name: "note", Type: dataset.AttrText},
-	}}
-	db := &dataset.Database{Name: "D", Schema: sch, Records: []dataset.Record{
-		{ID: "r0", Values: []string{"ada lovelace", "first programmer"}},
-		{ID: "r1", Values: []string{"alan turing", "first programmer"}},
-	}}
-	s, tokens := TokenSketch(db, -1, 64)
-	if tokens != 8 {
-		t.Fatalf("token count = %d, want 8", tokens)
-	}
-	if got := s.Estimate(); got != 6 { // ada lovelace alan turing first programmer
-		t.Fatalf("distinct estimate = %v, want 6", got)
-	}
-	// Single-attribute sketch only sees that column.
-	s0, tok0 := TokenSketch(db, 0, 64)
-	if tok0 != 4 || s0.Estimate() != 4 {
-		t.Fatalf("attr-0 sketch: tokens=%d distinct=%v, want 4/4", tok0, s0.Estimate())
 	}
 }

@@ -147,7 +147,8 @@ type Result struct {
 	// classifier when TCL was skipped (TCLFallback, DisableGENTCL).
 	// Invariant: Proba equals Classifier.PredictProba on the target
 	// matrix, so persisting it (internal/model) preserves the run's
-	// decisions exactly.
+	// decisions exactly — except on rows whose known target labels
+	// (RunSemiSupervised, RunActive) override the prediction.
 	Classifier ml.Classifier
 	// Stats describes the run.
 	Stats Stats

@@ -6,105 +6,14 @@ import (
 	"sort"
 
 	"transer/internal/ml"
-	"transer/internal/sampling"
 )
 
-// This file implements the extensions the paper lists as future work
-// (Section 6): choosing the best source domain when several labelled
-// candidates exist, exploiting partially labelled target domains, and
-// integrating active learning. Each builds on the same SEL/GEN/TCL
-// machinery as the base algorithm.
-
-// Source is one labelled candidate source domain.
-type Source struct {
-	// Name identifies the source in rankings.
-	Name string
-	// X and Y are its feature matrix and labels.
-	X [][]float64
-	Y []int
-}
-
-// SourceScore ranks one candidate source's transferability to a
-// target.
-type SourceScore struct {
-	// Index into the candidate slice, Name copied from it.
-	Index int
-	Name  string
-	// MeanSimC and MeanSimL are the average SEL similarities over the
-	// source's instances against the target.
-	MeanSimC float64
-	MeanSimL float64
-	// SelectedFrac is the fraction of instances SEL would transfer.
-	SelectedFrac float64
-	// Score is the ranking key: the selected fraction weighted by the
-	// mean structural similarity — a source is only useful if a large,
-	// structurally compatible, confidently labelled subset survives
-	// selection.
-	Score float64
-}
-
-// RankSources scores every candidate source domain against the target
-// feature matrix and returns them ordered best-first. It addresses the
-// paper's "how to choose the best source domain when multiple
-// semantically related labelled data sets are available" question with
-// the framework's own transferability signals.
-func RankSources(sources []Source, xt [][]float64, cfg Config) ([]SourceScore, error) {
-	if len(sources) == 0 {
-		return nil, errors.New("core: no candidate sources")
-	}
-	if len(xt) == 0 {
-		return nil, errors.New("core: empty target feature matrix")
-	}
-	cfg = cfg.withDefaults()
-	out := make([]SourceScore, 0, len(sources))
-	for idx, s := range sources {
-		if len(s.X) == 0 || len(s.X) != len(s.Y) {
-			return nil, fmt.Errorf("core: source %d (%s) has %d rows and %d labels", idx, s.Name, len(s.X), len(s.Y))
-		}
-		if len(s.X[0]) != len(xt[0]) {
-			return nil, fmt.Errorf("core: source %d (%s) has %d features, target has %d", idx, s.Name, len(s.X[0]), len(xt[0]))
-		}
-		sims := Similarities(s.X, s.Y, xt, cfg)
-		sc := SourceScore{Index: idx, Name: s.Name}
-		kept := 0
-		sel := newSelector(s.X, s.Y, xt, cfg)
-		for _, sim := range sims {
-			sc.MeanSimC += sim.SimC
-			sc.MeanSimL += sim.SimL
-			if sel.accepted(sim) {
-				kept++
-			}
-		}
-		n := float64(len(sims))
-		sc.MeanSimC /= n
-		sc.MeanSimL /= n
-		sc.SelectedFrac = float64(kept) / n
-		sc.Score = sc.SelectedFrac * sc.MeanSimL
-		out = append(out, sc)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Index < out[j].Index
-	})
-	return out, nil
-}
-
-// RunMultiSource ranks the candidate sources and runs TransER from the
-// best one, returning the result together with the full ranking.
-func RunMultiSource(sources []Source, xt [][]float64, factory ml.Factory, cfg Config) (*Result, []SourceScore, error) {
-	ranking, err := RankSources(sources, xt, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	best := sources[ranking[0].Index]
-	res, err := Run(best.X, best.Y, xt, factory, cfg)
-	if err != nil {
-		return nil, ranking, err
-	}
-	return res, ranking, nil
-}
+// This file implements two of the extensions the paper lists as future
+// work (Section 6): exploiting partially labelled target domains, and
+// integrating active learning. Both are one Prepare (the SEL phase)
+// followed by the GEN and TCL phases of Fit, with the known target
+// labels folded into TCL. The third, choosing the best source domain,
+// is signature search over internal/repo, in the root package.
 
 // TargetLabels maps target instance indices to known true labels —
 // the partially labelled target scenario of the paper's future work.
@@ -114,9 +23,9 @@ type TargetLabels map[int]int
 // known target labels are injected into the TCL training set with
 // full confidence (replacing their pseudo labels), so the final
 // classifier is anchored by ground truth where it exists while still
-// generalising from pseudo labels elsewhere.
+// generalising from pseudo labels elsewhere. Known labels also
+// override the final prediction on their own instances.
 func RunSemiSupervised(xs [][]float64, ys []int, xt [][]float64, known TargetLabels, factory ml.Factory, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	for idx, l := range known {
 		if idx < 0 || idx >= len(xt) {
 			return nil, fmt.Errorf("core: known target index %d out of range", idx)
@@ -125,53 +34,11 @@ func RunSemiSupervised(xs [][]float64, ys []int, xt [][]float64, known TargetLab
 			return nil, fmt.Errorf("core: known target label %d at %d is not binary", l, idx)
 		}
 	}
-	// Base run provides SEL + GEN outputs.
-	base, err := Run(xs, ys, xt, factory, cfg)
+	p, err := Prepare(xs, ys, xt, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if len(known) == 0 || cfg.DisableGENTCL {
-		return base, nil
-	}
-	// Rebuild the TCL training set: high-confidence pseudo labels plus
-	// all known labels (which win conflicts).
-	var xv [][]float64
-	var yv []int
-	for i := range xt {
-		if l, ok := known[i]; ok {
-			xv = append(xv, xt[i])
-			yv = append(yv, l)
-			continue
-		}
-		if base.PseudoConfidence[i] >= cfg.TP {
-			xv = append(xv, xt[i])
-			yv = append(yv, base.PseudoLabels[i])
-		}
-	}
-	if len(xv) == 0 || allSame(yv) {
-		return base, nil
-	}
-	xvb, yvb := sampling.UnderSample(xv, yv, cfg.B, cfg.Seed)
-	cv, err := ml.FitWithFallback(factory, xvb, yvb)
-	if err != nil {
-		return nil, fmt.Errorf("core: semi-supervised TCL training failed: %w", err)
-	}
-	proba := cv.PredictProba(xt)
-	out := *base
-	out.Proba = proba
-	out.Labels = ml.Labels(proba, 0.5)
-	out.Stats.HighConfidence = len(xv)
-	out.Stats.BalancedTrain = len(xvb)
-	// Known labels override predictions on their own instances.
-	for idx, l := range known {
-		out.Labels[idx] = l
-		if l == 1 {
-			out.Proba[idx] = 1
-		} else {
-			out.Proba[idx] = 0
-		}
-	}
-	return &out, nil
+	return p.fit(factory, cfg.Obs, known)
 }
 
 // Oracle answers label queries for target instances (1 = match). In
@@ -187,64 +54,44 @@ type ActiveResult struct {
 }
 
 // RunActive integrates TransER with uncertainty-sampling active
-// learning (the paper's fourth future-work direction): across rounds,
-// the most uncertain target instances (pseudo label confidence closest
-// to 0.5) are labelled by the oracle and folded into a semi-supervised
-// re-run. budget caps the total number of oracle queries.
-func RunActive(xs [][]float64, ys []int, xt [][]float64, factory ml.Factory, cfg Config, oracle Oracle, budget, rounds int) (*ActiveResult, error) {
+// learning (the paper's fourth future-work direction): the budget
+// least-confident target instances under GEN's pseudo labels are sent
+// to the oracle, most uncertain first (ties by index), and their
+// answers anchor TCL as in RunSemiSupervised. GEN trains on the source
+// alone, so its confidences, and hence the queries, do not depend on
+// the oracle's answers: one round asks everything a multi-round loop
+// would. budget caps the number of oracle queries.
+func RunActive(xs [][]float64, ys []int, xt [][]float64, factory ml.Factory, cfg Config, oracle Oracle, budget int) (*ActiveResult, error) {
 	if oracle == nil {
 		return nil, errors.New("core: nil oracle")
 	}
 	if budget <= 0 {
 		return nil, errors.New("core: non-positive query budget")
 	}
-	if rounds <= 0 {
-		rounds = 1
-	}
-	known := TargetLabels{}
-	var queried []int
-	perRound := (budget + rounds - 1) / rounds
-	var res *Result
-	var err error
-	for r := 0; r < rounds && len(queried) < budget; r++ {
-		res, err = RunSemiSupervised(xs, ys, xt, known, factory, cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Pick the most uncertain unlabelled instances.
-		type cand struct {
-			idx  int
-			conf float64
-		}
-		cands := make([]cand, 0, len(xt))
-		for i, z := range res.PseudoConfidence {
-			if _, ok := known[i]; ok {
-				continue
-			}
-			cands = append(cands, cand{i, z})
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].conf != cands[b].conf {
-				return cands[a].conf < cands[b].conf
-			}
-			return cands[a].idx < cands[b].idx
-		})
-		take := perRound
-		if rem := budget - len(queried); take > rem {
-			take = rem
-		}
-		if take > len(cands) {
-			take = len(cands)
-		}
-		for _, c := range cands[:take] {
-			known[c.idx] = oracle(c.idx)
-			queried = append(queried, c.idx)
-		}
-	}
-	// Final run with all acquired labels.
-	res, err = RunSemiSupervised(xs, ys, xt, known, factory, cfg)
+	p, err := Prepare(xs, ys, xt, cfg)
 	if err != nil {
 		return nil, err
 	}
+	res, err := p.gen(factory, cfg.Obs)
+	if err != nil {
+		return nil, err
+	}
+	queried := make([]int, len(xt))
+	for i := range queried {
+		queried[i] = i
+	}
+	z := res.PseudoConfidence
+	sort.SliceStable(queried, func(a, b int) bool { return z[queried[a]] < z[queried[b]] })
+	if budget < len(queried) {
+		queried = queried[:budget]
+	}
+	known := make(TargetLabels, len(queried))
+	for _, i := range queried {
+		known[i] = oracle(i)
+	}
+	if err := p.tcl(res, factory, cfg.Obs, known); err != nil {
+		return nil, err
+	}
+	anchor(res, known)
 	return &ActiveResult{Result: res, Queried: queried}, nil
 }

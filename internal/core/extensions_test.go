@@ -6,83 +6,6 @@ import (
 	"transer/internal/ml/mltest"
 )
 
-// shiftRows returns a copy of x with every value shifted (a crude
-// marginal distribution shift).
-func shiftRows(x [][]float64, delta float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		r := make([]float64, len(row))
-		for j, v := range row {
-			v += delta
-			if v > 1 {
-				v = 1
-			}
-			r[j] = v
-		}
-		out[i] = r
-	}
-	return out
-}
-
-func TestRankSourcesPrefersCompatible(t *testing.T) {
-	// Target and a matching source share distribution; a shifted source
-	// does not — the matching source must rank first.
-	xsGood, ysGood, xt, _ := transferProblem(300, 300, 0.0, 0.1, 30)
-	xsBad, ysBad := shiftRows(xsGood, 0.35), ysGood
-	ranking, err := RankSources([]Source{
-		{Name: "shifted", X: xsBad, Y: ysBad},
-		{Name: "aligned", X: xsGood, Y: ysGood},
-	}, xt, DefaultConfig())
-	if err != nil {
-		t.Fatalf("RankSources: %v", err)
-	}
-	if ranking[0].Name != "aligned" {
-		t.Errorf("expected aligned source first, got %v", ranking)
-	}
-	if ranking[0].Score < ranking[1].Score {
-		t.Errorf("ranking not sorted by score: %v", ranking)
-	}
-	for _, r := range ranking {
-		if r.MeanSimC < 0 || r.MeanSimC > 1 || r.MeanSimL < 0 || r.MeanSimL > 1 {
-			t.Errorf("similarity out of range: %+v", r)
-		}
-	}
-}
-
-func TestRankSourcesValidation(t *testing.T) {
-	_, _, xt, _ := transferProblem(50, 50, 0, 0, 32)
-	if _, err := RankSources(nil, xt, DefaultConfig()); err == nil {
-		t.Errorf("no sources accepted")
-	}
-	if _, err := RankSources([]Source{{X: [][]float64{{1}}, Y: []int{1}}}, nil, DefaultConfig()); err == nil {
-		t.Errorf("empty target accepted")
-	}
-	if _, err := RankSources([]Source{{X: [][]float64{{1}}, Y: []int{1, 0}}}, xt, DefaultConfig()); err == nil {
-		t.Errorf("misaligned source accepted")
-	}
-	if _, err := RankSources([]Source{{X: [][]float64{{1}}, Y: []int{1}}}, xt, DefaultConfig()); err == nil {
-		t.Errorf("feature width mismatch accepted")
-	}
-}
-
-func TestRunMultiSource(t *testing.T) {
-	xsGood, ysGood, xt, yt := transferProblem(300, 300, 0.02, 0.15, 33)
-	xsBad, ysBad := shiftRows(xsGood, 0.4), ysGood
-	res, ranking, err := RunMultiSource([]Source{
-		{Name: "bad", X: xsBad, Y: ysBad},
-		{Name: "good", X: xsGood, Y: ysGood},
-	}, xt, treeFactory(), DefaultConfig())
-	if err != nil {
-		t.Fatalf("RunMultiSource: %v", err)
-	}
-	if ranking[0].Name != "good" {
-		t.Errorf("wrong source chosen: %v", ranking)
-	}
-	if acc := mltest.Accuracy(res.Proba, yt); acc < 0.85 {
-		t.Errorf("multi-source accuracy %.3f", acc)
-	}
-}
-
 func TestRunSemiSupervisedImproves(t *testing.T) {
 	xs, ys, xt, yt := transferProblem(400, 400, 0.12, 0.3, 35)
 	cfg := DefaultConfig()
@@ -131,7 +54,7 @@ func TestRunActive(t *testing.T) {
 	xs, ys, xt, yt := transferProblem(400, 400, 0.1, 0.3, 37)
 	oracle := func(i int) int { return yt[i] }
 	budget := 40
-	res, err := RunActive(xs, ys, xt, treeFactory(), DefaultConfig(), oracle, budget, 4)
+	res, err := RunActive(xs, ys, xt, treeFactory(), DefaultConfig(), oracle, budget)
 	if err != nil {
 		t.Fatalf("RunActive: %v", err)
 	}
@@ -153,10 +76,10 @@ func TestRunActive(t *testing.T) {
 
 func TestRunActiveValidation(t *testing.T) {
 	xs, ys, xt, _ := transferProblem(30, 30, 0, 0, 38)
-	if _, err := RunActive(xs, ys, xt, treeFactory(), DefaultConfig(), nil, 5, 1); err == nil {
+	if _, err := RunActive(xs, ys, xt, treeFactory(), DefaultConfig(), nil, 5); err == nil {
 		t.Errorf("nil oracle accepted")
 	}
-	if _, err := RunActive(xs, ys, xt, treeFactory(), DefaultConfig(), func(int) int { return 0 }, 0, 1); err == nil {
+	if _, err := RunActive(xs, ys, xt, treeFactory(), DefaultConfig(), func(int) int { return 0 }, 0); err == nil {
 		t.Errorf("zero budget accepted")
 	}
 }
@@ -165,7 +88,7 @@ func TestRunActiveBudgetExhaustsGracefully(t *testing.T) {
 	// Budget larger than the target: every instance gets queried once.
 	xs, ys, xt, yt := transferProblem(40, 20, 0.05, 0.2, 39)
 	oracle := func(i int) int { return yt[i] }
-	res, err := RunActive(xs, ys, xt, treeFactory(), DefaultConfig(), oracle, 100, 2)
+	res, err := RunActive(xs, ys, xt, treeFactory(), DefaultConfig(), oracle, 100)
 	if err != nil {
 		t.Fatalf("RunActive: %v", err)
 	}

@@ -102,15 +102,35 @@ func Prepare(xs [][]float64, ys []int, xt [][]float64, cfg Config) (*Prepared, e
 // fresh classifiers from factory, recording their spans under sp.
 // The result's Stats carry the shared SEL-phase figures.
 func (p *Prepared) Fit(factory ml.Factory, sp *obs.Span) (*Result, error) {
+	return p.fit(factory, sp, nil)
+}
+
+// fit is Fit on a partially labelled target: known target labels
+// (nil for none) replace their rows' pseudo labels in the TCL training
+// set and override the final prediction on those rows.
+func (p *Prepared) fit(factory ml.Factory, sp *obs.Span, known TargetLabels) (*Result, error) {
+	res, err := p.gen(factory, sp)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.tcl(res, factory, sp, known); err != nil {
+		return nil, err
+	}
+	anchor(res, known)
+	return res, nil
+}
+
+// gen runs phase (ii), the pseudo label generator (lines 10-11). Its
+// result carries the pseudo labels, and GEN's probabilities and
+// classifier, which stand as the answer when TCL does not train.
+func (p *Prepared) gen(factory ml.Factory, sp *obs.Span) (*Result, error) {
 	if factory == nil {
 		return nil, errors.New("core: nil classifier factory")
 	}
-	cfg, xt := p.cfg, p.xt
 	res := &Result{Stats: p.stats}
 	sp.SetInt("source_instances", int64(res.Stats.SourceInstances))
 	sp.SetInt("target_instances", int64(res.Stats.TargetInstances))
 
-	// Phase (ii): pseudo label generator — lines 10-11.
 	genSpan := sp.Child("gen")
 	genStart := time.Now()
 	fitSpan := genSpan.Child("fit")
@@ -120,33 +140,40 @@ func (p *Prepared) Fit(factory ml.Factory, sp *obs.Span) (*Result, error) {
 		return nil, fmt.Errorf("core: GEN training failed: %w", err)
 	}
 	predictSpan := genSpan.Child("predict")
-	proba := ml.ParallelProba(cu, xt, cfg.Workers)
+	proba := ml.ParallelProba(cu, p.xt, p.cfg.Workers)
 	predictSpan.End()
 	res.PseudoLabels = ml.Labels(proba, 0.5)
 	res.PseudoConfidence = make([]float64, len(proba))
 	for i, pr := range proba {
 		res.PseudoConfidence[i] = ml.Confidence(pr)
 	}
+	res.Proba = proba
+	res.Classifier = cu
 	res.Stats.GenTime = time.Since(genStart)
 	genSpan.SetInt("pseudo_labels", int64(len(res.PseudoLabels)))
 	genSpan.End()
+	return res, nil
+}
 
+// tcl runs phase (iii), the target domain classifier (lines 12-20),
+// on GEN's result: high-confidence pseudo labels and the known labels
+// train it. GEN's answer stands under the ablation "without GEN & TCL"
+// (DisableGENTCL) and when that training set is unusable.
+func (p *Prepared) tcl(res *Result, factory ml.Factory, sp *obs.Span, known TargetLabels) error {
+	cfg, xt := p.cfg, p.xt
 	if cfg.DisableGENTCL {
-		// Ablation "without GEN & TCL": classify the target directly
-		// with the classifier trained on the transferred instances.
-		res.Labels = ml.Labels(proba, 0.5)
-		res.Proba = proba
-		res.Classifier = cu
-		return res, nil
+		res.Labels = ml.Labels(res.Proba, 0.5)
+		return nil
 	}
-
-	// Phase (iii): target domain classifier — lines 12-20.
 	tclSpan := sp.Child("tcl")
 	tclStart := time.Now()
 	var xv [][]float64
 	var yv []int
 	for i, z := range res.PseudoConfidence {
-		if z >= cfg.TP {
+		if l, ok := known[i]; ok {
+			xv = append(xv, xt[i])
+			yv = append(yv, l)
+		} else if z >= cfg.TP {
 			xv = append(xv, xt[i])
 			yv = append(yv, res.PseudoLabels[i])
 		}
@@ -160,35 +187,42 @@ func (p *Prepared) Fit(factory ml.Factory, sp *obs.Span) (*Result, error) {
 	const minTCLTrain = 20
 	xvb, yvb := sampling.UnderSample(xv, yv, cfg.B, cfg.Seed)
 	if len(xvb) < minTCLTrain || allSame(yvb) {
-		// No usable pseudo-labelled training set: return GEN's
-		// predictions directly rather than failing the task.
-		res.Labels = ml.Labels(proba, 0.5)
-		res.Proba = proba
-		res.Classifier = cu
+		res.Labels = ml.Labels(res.Proba, 0.5)
 		res.Stats.TCLFallback = true
 		res.Stats.TclTime = time.Since(tclStart)
 		tclSpan.SetBool("fallback", true)
 		tclSpan.End()
-		return res, nil
+		return nil
 	}
 
 	res.Stats.BalancedTrain = len(xvb)
 	tclSpan.SetInt("balanced_train", int64(len(xvb)))
-	fitSpan = tclSpan.Child("fit")
+	fitSpan := tclSpan.Child("fit")
 	cv, err := ml.FitWithFallback(factory, xvb, yvb)
 	fitSpan.End()
 	if err != nil {
-		return nil, fmt.Errorf("core: TCL training failed: %w", err)
+		return fmt.Errorf("core: TCL training failed: %w", err)
 	}
-	predictSpan = tclSpan.Child("predict")
-	finalProba := ml.ParallelProba(cv, xt, cfg.Workers)
+	predictSpan := tclSpan.Child("predict")
+	res.Proba = ml.ParallelProba(cv, xt, cfg.Workers)
 	predictSpan.End()
-	res.Labels = ml.Labels(finalProba, 0.5)
-	res.Proba = finalProba
+	res.Labels = ml.Labels(res.Proba, 0.5)
 	res.Classifier = cv
 	res.Stats.TclTime = time.Since(tclStart)
 	tclSpan.End()
-	return res, nil
+	return nil
+}
+
+// anchor overrides the prediction with the known labels on their own
+// rows.
+func anchor(res *Result, known TargetLabels) {
+	for idx, l := range known {
+		res.Labels[idx] = l
+		res.Proba[idx] = 0
+		if l == 1 {
+			res.Proba[idx] = 1
+		}
+	}
 }
 
 func singleClass(ys []int, idx []int) bool {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 )
 
@@ -123,32 +122,4 @@ func parseAttrType(s string) (AttrType, error) {
 		return AttrNumeric, nil
 	}
 	return 0, fmt.Errorf("dataset: unknown attribute type %q", s)
-}
-
-// WriteMatrixCSV serialises a feature matrix with labels (label column
-// may be nil) for offline inspection, mirroring the feature matrices
-// the paper publishes alongside its code.
-func WriteMatrixCSV(w io.Writer, x [][]float64, y []int, featureNames []string) error {
-	cw := csv.NewWriter(w)
-	header := append([]string(nil), featureNames...)
-	if y != nil {
-		header = append(header, "label")
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for i, row := range x {
-		fields := make([]string, 0, len(row)+1)
-		for _, v := range row {
-			fields = append(fields, strconv.FormatFloat(v, 'f', 6, 64))
-		}
-		if y != nil {
-			fields = append(fields, strconv.Itoa(y[i]))
-		}
-		if err := cw.Write(fields); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

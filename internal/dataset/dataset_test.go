@@ -164,30 +164,3 @@ func TestReadCSVRejectsMalformed(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteMatrixCSV(t *testing.T) {
-	var buf bytes.Buffer
-	x := [][]float64{{0.5, 1}, {0, 0.25}}
-	y := []int{1, 0}
-	if err := WriteMatrixCSV(&buf, x, y, []string{"f1", "f2"}); err != nil {
-		t.Fatalf("WriteMatrixCSV: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("expected 3 lines, got %d", len(lines))
-	}
-	if lines[0] != "f1,f2,label" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasSuffix(lines[1], ",1") || !strings.HasSuffix(lines[2], ",0") {
-		t.Errorf("labels not in last column: %v", lines[1:])
-	}
-	// Without labels.
-	buf.Reset()
-	if err := WriteMatrixCSV(&buf, x, nil, []string{"f1", "f2"}); err != nil {
-		t.Fatalf("WriteMatrixCSV no labels: %v", err)
-	}
-	if strings.Contains(strings.Split(buf.String(), "\n")[0], "label") {
-		t.Errorf("label column present without labels")
-	}
-}

@@ -189,39 +189,53 @@ func agg(a eval.Aggregate) string {
 	return fmt.Sprintf("%.2f ± %.2f", a.Mean, a.Std)
 }
 
-// evaluateMethod prepares one method on the task once, then fits it
-// once per classifier, and aggregates quality over the fits. Under the
-// given cell span (nil when tracing is off) the preparation records a
-// prepare span and each fit a classifier:<name> span, with the
-// method's own stage spans beneath them.
-//
-// The returned runtime is the cost of one classifier run as Table 3
-// reports it: the prepare time plus the mean fit time. Every run needs
-// the prepared state, so each is charged for it in full.
-func evaluateMethod(m transfer.Method, bt builtTask, classifiers []ml.Named, sp *obs.Span) (eval.MetricsAggregate, time.Duration, error) {
+// MethodEvaluation is one method's linkage quality and cost on one
+// task over a classifier set.
+type MethodEvaluation struct {
+	// Method is the method display name.
+	Method string
+	// PerClassifier holds one Metrics per classifier, in order.
+	PerClassifier []eval.Metrics
+	// Aggregate is mean ± std over PerClassifier, the format of the
+	// paper's Table 2.
+	Aggregate eval.MetricsAggregate
+	// Runtime is the cost of one classifier run as Table 3 reports it:
+	// the prepare time plus the mean fit time. Every run needs the
+	// prepared state, so each is charged for it in full.
+	Runtime time.Duration
+}
+
+// EvaluateMethod prepares one method on the task once, then fits it
+// once per classifier and scores every fit against the target truth —
+// the paper's Table 2 protocol. Under the given span (nil when tracing
+// is off) the preparation records a prepare span and each fit a
+// classifier:<name> span, with the method's own stage spans beneath
+// them.
+func EvaluateMethod(m transfer.Method, task *transfer.Task, truth []int, classifiers []ml.Named, sp *obs.Span) (MethodEvaluation, error) {
+	out := MethodEvaluation{Method: m.Name()}
 	start := time.Now()
 	ps := sp.Child("prepare")
-	p, err := m.Prepare(bt.task, ps)
+	p, err := m.Prepare(task, ps)
 	ps.End()
 	if err != nil {
-		return eval.MetricsAggregate{}, 0, fmt.Errorf("%s on %s: %w", m.Name(), bt.name, err)
+		return out, fmt.Errorf("%s: %w", m.Name(), err)
 	}
 	prepare := time.Since(start)
-	runs := make([]eval.Metrics, 0, len(classifiers))
 	for _, c := range classifiers {
 		cs := sp.Child("classifier:" + c.Name)
 		res, err := p.Fit(c.New, cs)
 		cs.End()
 		if err != nil {
-			return eval.MetricsAggregate{}, 0, fmt.Errorf("%s with %s on %s: %w", m.Name(), c.Name, bt.name, err)
+			return out, fmt.Errorf("%s with %s: %w", m.Name(), c.Name, err)
 		}
-		runs = append(runs, eval.Evaluate(res.Labels, bt.truthT))
+		out.PerClassifier = append(out.PerClassifier, eval.Evaluate(res.Labels, truth))
 	}
-	runtime := prepare
+	out.Runtime = prepare
 	if len(classifiers) > 0 {
-		runtime += (time.Since(start) - prepare) / time.Duration(len(classifiers))
+		out.Runtime += (time.Since(start) - prepare) / time.Duration(len(classifiers))
 	}
-	return eval.AggregateMetrics(runs), runtime, nil
+	out.Aggregate = eval.AggregateMetrics(out.PerClassifier)
+	return out, nil
 }
 
 // sortedKeys returns map keys in sorted order for deterministic output.
@@ -266,9 +280,4 @@ func buildGeneratedTask(t datagen.TransferTask, workers int) builtTask {
 // BuildTaskForProbe exposes task assembly for internal diagnostics.
 func BuildTaskForProbe(t datagen.TransferTask) *transfer.Task {
 	return buildGeneratedTask(t, 0).task
-}
-
-// TruthForProbe exposes target ground truth for internal diagnostics.
-func TruthForProbe(t datagen.TransferTask) []int {
-	return buildGeneratedTask(t, 0).truthT
 }

@@ -40,17 +40,13 @@ func (n instantFit) Fit(ml.Factory, *obs.Span) (*transfer.Result, error) {
 // report at least 20 ms, not the 5 ms that dividing the cell's total
 // time by the classifier count would give.
 func TestRuntimeChargesPrepareToEveryRun(t *testing.T) {
-	bt := builtTask{
-		name:   "fake",
-		task:   &transfer.Task{XS: [][]float64{{0}, {1}}, YS: []int{0, 1}, XT: [][]float64{{0}, {1}}},
-		truthT: []int{0, 1},
-	}
+	task := &transfer.Task{XS: [][]float64{{0}, {1}}, YS: []int{0, 1}, XT: [][]float64{{0}, {1}}}
 	classifiers := StandardClassifiers(1)
-	_, rt, err := evaluateMethod(slowPrepare{}, bt, classifiers, nil)
+	ev, err := EvaluateMethod(slowPrepare{}, task, []int{0, 1}, classifiers, nil)
 	if err != nil {
-		t.Fatalf("evaluateMethod: %v", err)
+		t.Fatalf("EvaluateMethod: %v", err)
 	}
-	if rt < 20*time.Millisecond {
-		t.Errorf("runtime per classifier run = %v, want at least the 20ms prepare", rt)
+	if ev.Runtime < 20*time.Millisecond {
+		t.Errorf("runtime per classifier run = %v, want at least the 20ms prepare", ev.Runtime)
 	}
 }

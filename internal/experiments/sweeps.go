@@ -37,13 +37,13 @@ func Figure6(opts Options) ([]SweepRow, error) {
 		cfg := core.DefaultConfig()
 		cfg.Workers = opts.Workers
 		sp := expSpan.Child(fmt.Sprintf("cell:%s/frac=%.2f", bt.name, frac))
-		q, _, err := evaluateMethod(transERMethod(cfg), sub, opts.Classifiers, sp)
+		ev, err := EvaluateMethod(transERMethod(cfg), sub.task, sub.truthT, opts.Classifiers, sp)
 		sp.End()
 		if err != nil {
-			errs[cell] = err
+			errs[cell] = fmt.Errorf("%s: %w", bt.name, err)
 			return
 		}
-		out[cell] = SweepRow{Task: bt.name, Setting: "label-fraction", Value: frac, Quality: q}
+		out[cell] = SweepRow{Task: bt.name, Setting: "label-fraction", Value: frac, Quality: ev.Aggregate}
 	})
 	if err := parallel.FirstError(errs); err != nil {
 		return nil, err
@@ -109,13 +109,13 @@ func Figure7(opts Options) ([]SweepRow, error) {
 		cfg.Workers = opts.Workers
 		sw.apply(&cfg, c.value)
 		sp := expSpan.Child(fmt.Sprintf("cell:%s/%s=%.2f", bt.name, sw.name, c.value))
-		q, _, err := evaluateMethod(transERMethod(cfg), bt, opts.Classifiers, sp)
+		ev, err := EvaluateMethod(transERMethod(cfg), bt.task, bt.truthT, opts.Classifiers, sp)
 		sp.End()
 		if err != nil {
-			errs[i] = err
+			errs[i] = fmt.Errorf("%s: %w", bt.name, err)
 			return
 		}
-		out[i] = SweepRow{Task: bt.name, Setting: sw.name, Value: c.value, Quality: q}
+		out[i] = SweepRow{Task: bt.name, Setting: sw.name, Value: c.value, Quality: ev.Aggregate}
 	})
 	if err := parallel.FirstError(errs); err != nil {
 		return nil, err
@@ -156,13 +156,13 @@ func Table4(opts Options) (*Table, error) {
 		cfg := v.cfg
 		cfg.Workers = opts.Workers
 		sp := expSpan.Child("cell:" + bt.name + "/" + v.name)
-		q, _, err := evaluateMethod(transERMethod(cfg), bt, opts.Classifiers, sp)
+		ev, err := EvaluateMethod(transERMethod(cfg), bt.task, bt.truthT, opts.Classifiers, sp)
 		sp.End()
 		if err != nil {
 			errs[cell] = fmt.Errorf("ablation %q on %s: %w", v.name, bt.name, err)
 			return
 		}
-		quality[cell] = q
+		quality[cell] = ev.Aggregate
 	})
 	if err := parallel.FirstError(errs); err != nil {
 		return nil, err

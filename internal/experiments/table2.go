@@ -76,7 +76,7 @@ func demographicTask(name string) bool {
 // has. Methods carry no mutable state (Prepare reads the shared task
 // and seeds its own randomness from the method's fixed Seed), so
 // sharing a builtTask across cells is safe. Each cell prepares its
-// method once and fits it once per classifier (see evaluateMethod).
+// method once and fits it once per classifier (see EvaluateMethod).
 func Table2(opts Options) (*Table2Result, error) {
 	opts = opts.withDefaults()
 	st := opts.store()
@@ -109,10 +109,10 @@ func Table2(opts Options) (*Table2Result, error) {
 			cls = cls[:1]
 		}
 		sp := expSpan.Child("cell:" + bt.name + "/" + m.Name())
-		q, rt, err := evaluateMethod(m, bt, cls, sp)
+		ev, err := EvaluateMethod(m, bt.task, bt.truthT, cls, sp)
 		sp.End()
-		res.Rows[cell] = MethodRow{Task: bt.name, Method: m.Name(), Quality: q,
-			Runtime: rt, Err: err}
+		res.Rows[cell] = MethodRow{Task: bt.name, Method: m.Name(), Quality: ev.Aggregate,
+			Runtime: ev.Runtime, Err: err}
 	})
 	return res, nil
 }

@@ -117,13 +117,3 @@ func StratifiedFraction(x [][]float64, y []int, frac float64, seed int64) ([][]f
 	}
 	return outX, outY
 }
-
-// Bootstrap returns n indices sampled with replacement from [0, n).
-func Bootstrap(n int, seed int64) []int {
-	rng := rand.New(rand.NewSource(seed))
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = rng.Intn(n)
-	}
-	return idx
-}

@@ -120,24 +120,6 @@ func TestStratifiedFractionKeepsBothClasses(t *testing.T) {
 	}
 }
 
-func TestBootstrap(t *testing.T) {
-	idx := Bootstrap(100, 7)
-	if len(idx) != 100 {
-		t.Fatalf("bootstrap size %d", len(idx))
-	}
-	for _, i := range idx {
-		if i < 0 || i >= 100 {
-			t.Fatalf("index %d out of range", i)
-		}
-	}
-	idx2 := Bootstrap(100, 7)
-	for i := range idx {
-		if idx[i] != idx2[i] {
-			t.Fatalf("bootstrap not deterministic")
-		}
-	}
-}
-
 func TestPropertyUnderSampleInvariants(t *testing.T) {
 	prop := func(nMatch, nNon uint8, ratio float64, seed int64) bool {
 		if ratio < 0.1 {

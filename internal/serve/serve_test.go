@@ -21,6 +21,7 @@ import (
 	"transer/internal/ml/logreg"
 	"transer/internal/model"
 	"transer/internal/obs"
+	"transer/internal/query"
 	"transer/internal/testkit"
 )
 
@@ -191,7 +192,7 @@ func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, b := testkit.DatabasePair(rng, 40)
 	var req BatchRequest
-	for len(req.Pairs) < 2*scoreBlock+17 {
+	for len(req.Pairs) < 2*query.CompareBlock+17 {
 		for _, ra := range a.Records {
 			for _, rb := range b.Records {
 				req.Pairs = append(req.Pairs, MatchRequest{
@@ -201,7 +202,7 @@ func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
-	if len(req.Pairs) < 2*scoreBlock {
+	if len(req.Pairs) < 2*query.CompareBlock {
 		t.Fatalf("batch of %d pairs does not span multiple scoring blocks", len(req.Pairs))
 	}
 	var want []byte
@@ -279,16 +280,16 @@ func TestShedWhenSaturated(t *testing.T) {
 
 func TestScoreWithContextCancellation(t *testing.T) {
 	m := trainedMatcher(t)
-	x := make([][]float64, 4*scoreBlock)
+	x := make([][]float64, 4*query.CompareBlock)
 	for i := range x {
 		x[i] = make([]float64, len(m.Scheme.FeatureNames()))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := scoreWithContext(ctx, m, x, 2); err == nil {
+	if _, err := query.ScoreMatrix(ctx, m, x, 2); err == nil {
 		t.Fatalf("scoring under a canceled context must fail")
 	}
-	got, err := scoreWithContext(context.Background(), m, x, 2)
+	got, err := query.ScoreMatrix(context.Background(), m, x, 2)
 	if err != nil || len(got) != len(x) {
 		t.Fatalf("uncanceled scoring: %v, %d results", err, len(got))
 	}

@@ -18,8 +18,8 @@
 // Operational behaviour: admission control sheds load beyond a bounded
 // in-flight + queue capacity with 429 and a Retry-After hint;
 // every scoring request runs under a per-request context deadline;
-// batch scoring is chunked over the deterministic worker pool
-// (internal/parallel) so responses are byte-identical for every worker
+// batch scoring runs on the query engine's block score operator
+// (query.ScoreMatrix) so responses are byte-identical for every worker
 // count; request spans and request/latency/in-flight metrics flow
 // through internal/obs. Graceful drain is the caller's http.Server
 // Shutdown — handlers hold no state beyond the request.
@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"transer/internal/obs"
+	"transer/internal/query"
 	"transer/internal/repo"
 	"transer/internal/stream"
 )
@@ -478,7 +479,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		x[i] = e.Vector(ra, rb)
 	}
-	proba, err := scoreWithContext(r.Context(), e, x, s.cfg.Workers)
+	// Fixed-size row blocks make the response bitwise identical for
+	// every worker count; a canceled request discards partial scores.
+	proba, err := query.ScoreMatrix(r.Context(), e, x, s.cfg.Workers)
 	if err != nil {
 		s.writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("batch scoring aborted: %v", err))
 		return
