@@ -49,7 +49,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ranking, err := transer.RankSources([]*transer.Domain{mb, msdOld}, target, transer.DefaultConfig())
+	ranking, err := transer.RankSources([]*transer.Domain{mb, msdOld}, target)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,9 +80,8 @@ type SourceScore struct {
 // repository signature (field statistics, a token sketch and the
 // dominant compare vectors) and scored with repo.Similarity, as
 // catalog search does. All domains must share the target's feature
-// space; the target needs no labels. The signature ranker has no
-// settings, so cfg does not affect the ranking.
-func RankSources(sources []*Domain, target *Domain, cfg Config) ([]SourceScore, error) {
+// space; the target needs no labels.
+func RankSources(sources []*Domain, target *Domain) ([]SourceScore, error) {
 	if len(sources) == 0 {
 		return nil, errors.New("transer: no candidate sources")
 	}
@@ -126,11 +125,7 @@ func signatureOf(d *Domain) (*model.Signature, error) {
 // TransferMultiSource ranks the candidate sources and transfers from
 // the best one.
 func TransferMultiSource(sources []*Domain, target *Domain, opts ...TransferOption) (*Result, []SourceScore, error) {
-	o := transferOptions{cfg: DefaultConfig(), factory: DefaultClassifier()}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	ranking, err := RankSources(sources, target, o.cfg)
+	ranking, err := RankSources(sources, target)
 	if err != nil {
 		return nil, nil, err
 	}

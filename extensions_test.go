@@ -32,7 +32,7 @@ func TestRankSourcesPublicAPI(t *testing.T) {
 		if len(family) < 2 {
 			t.Fatalf("%s: family of %d, want a choice", k, len(family))
 		}
-		ranking, err := RankSources(family, probe, DefaultConfig())
+		ranking, err := RankSources(family, probe)
 		if err != nil {
 			t.Fatalf("RankSources(%s): %v", k, err)
 		}
@@ -68,7 +68,7 @@ func TestRankSourcesValidation(t *testing.T) {
 		"unlabelled":       {[]*Domain{unl}, tgt},
 		"feature mismatch": {[]*Domain{&narrow}, tgt},
 	} {
-		if _, err := RankSources(c.sources, c.target, DefaultConfig()); err == nil {
+		if _, err := RankSources(c.sources, c.target); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -77,7 +77,7 @@ func TestRankSourcesValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RankSources([]*Domain{src}, tgtU, DefaultConfig()); err != nil {
+	if _, err := RankSources([]*Domain{src}, tgtU); err != nil {
 		t.Errorf("unlabelled target rejected: %v", err)
 	}
 }

@@ -16,12 +16,18 @@ import (
 	"transer/internal/strutil"
 )
 
-// Embedder maps strings to dense vectors.
+// Embedder maps strings to dense vectors. It memoises token vectors,
+// so it is not safe for concurrent use, and Dim and Seed must not
+// change once it has embedded a value.
 type Embedder struct {
 	// Dim is the embedding dimensionality.
 	Dim int
 	// Seed decorrelates embedders.
 	Seed int64
+
+	// words memoises word: seeding the per-token generator costs more
+	// than the rest of the embedding, and tokens recur across values.
+	words map[string][]float64
 }
 
 // New creates an embedder with the given dimensionality; dim must be
@@ -53,8 +59,19 @@ func (e *Embedder) hashVec(s string) []float64 {
 	return v
 }
 
-// word embeds a single token.
-func (e *Embedder) word(tok string) []float64 { return e.hashVec("w:" + tok) }
+// word embeds a single token. The returned vector is shared; callers
+// must not modify it.
+func (e *Embedder) word(tok string) []float64 {
+	if v, ok := e.words[tok]; ok {
+		return v
+	}
+	if e.words == nil {
+		e.words = map[string][]float64{}
+	}
+	v := e.hashVec("w:" + tok)
+	e.words[tok] = v
+	return v
+}
 
 // Value embeds a full attribute value as the mean of its token
 // embeddings; an empty value embeds to the zero vector.

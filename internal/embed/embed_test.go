@@ -9,10 +9,35 @@ import (
 func TestWordDeterministic(t *testing.T) {
 	e := New(16, 1)
 	a := e.word("smith")
-	b := e.word("smith")
+	b := New(16, 1).word("smith")
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same word embedded differently at %d", i)
+		}
+	}
+}
+
+// TestWordMemoBitwiseMatchesHash: a memoised token vector is bit for
+// bit the vector hashing the token afresh gives, on first and repeat
+// lookups, and a value embeds the same through a warm or cold memo.
+func TestWordMemoBitwiseMatchesHash(t *testing.T) {
+	e := New(16, 3)
+	toks := []string{"smith", "john", "smith", "smyth", "kilmarnock", "john", ""}
+	for _, tok := range toks {
+		got, want := e.word(tok), e.hashVec("w:"+tok)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("word(%q)[%d] = %v, fresh hash %v", tok, i, got[i], want[i])
+			}
+		}
+	}
+	if len(e.words) != 5 {
+		t.Errorf("memo holds %d tokens, want 5 distinct", len(e.words))
+	}
+	warm, cold := e.Value("john smith smith"), New(16, 3).Value("john smith smith")
+	for i := range cold {
+		if math.Float64bits(warm[i]) != math.Float64bits(cold[i]) {
+			t.Fatalf("Value through a warm memo differs at %d: %v vs %v", i, warm[i], cold[i])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -21,7 +22,7 @@ func eigenSymReference(a *Matrix) (values []float64, vectors *Matrix) {
 	v := Identity(n)
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := m.MaxAbsOffDiag()
+		off := maxAbsOffDiag(m)
 		if off < 1e-12 {
 			break
 		}
@@ -83,6 +84,23 @@ func eigenSymReference(a *Matrix) (values []float64, vectors *Matrix) {
 	return values, vectors
 }
 
+// maxAbsOffDiag returns the largest |a_ij| for i != j of a square
+// matrix; eigenSymReference's convergence criterion.
+func maxAbsOffDiag(m *Matrix) float64 {
+	best := 0.0
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			if i == j {
+				continue
+			}
+			if a := math.Abs(m.At(i, j)); a > best {
+				best = a
+			}
+		}
+	}
+	return best
+}
+
 // randomSymmetric draws an n×n symmetric matrix with standard normal
 // entries.
 func randomSymmetric(n int, seed int64) *Matrix {
@@ -125,32 +143,110 @@ func rbfKernel(n, dim int, gamma float64, seed int64) *Matrix {
 	return k
 }
 
+// tcaSystem builds the symmetric matrix TCA hands to EigenSym for n
+// landmarks, nS of them from the source: C = R⁻¹ B R⁻ᵀ with
+// R Rᵀ = K L K + I and B = K H K over an RBF kernel K, where L is the
+// MMD coefficient matrix and H the centring matrix; K L K + I and B
+// are symmetrised before the solves and C after them.
+func tcaSystem(tb testing.TB, n, nS int, seed int64) *Matrix {
+	k := rbfKernel(n, 4, 0.25, seed)
+	nT := n - nS
+	l := NewMatrix(n, n)
+	h := Identity(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			switch {
+			case i < nS && j < nS:
+				l.Set(i, j, 1/float64(nS*nS))
+			case i >= nS && j >= nS:
+				l.Set(i, j, 1/float64(nT*nT))
+			default:
+				l.Set(i, j, -1/float64(nS*nT))
+			}
+			h.Set(i, j, h.At(i, j)-1/float64(n))
+		}
+	}
+	a := k.Mul(l).Mul(k).Add(Identity(n))
+	b := k.Mul(h).Mul(k)
+	symmetrise(a)
+	symmetrise(b)
+	r, err := Cholesky(a)
+	if err != nil {
+		tb.Fatalf("Cholesky: %v", err)
+	}
+	z, err := ForwardSolveMatrix(r, b)
+	if err != nil {
+		tb.Fatalf("first forward solve: %v", err)
+	}
+	c, err := ForwardSolveMatrix(r, z.T())
+	if err != nil {
+		tb.Fatalf("second forward solve: %v", err)
+	}
+	symmetrise(c)
+	return c
+}
+
+// symmetrise replaces m by (m + mᵀ)/2 in place, as TCA does.
+func symmetrise(m *Matrix) {
+	for i := 0; i < m.Rows; i++ {
+		for j := i + 1; j < m.Cols; j++ {
+			v := (m.At(i, j) + m.At(j, i)) / 2
+			m.Set(i, j, v)
+			m.Set(j, i, v)
+		}
+	}
+}
+
+// sameBits returns the first index at which two slices differ bit for
+// bit, 0 when their lengths differ, or -1 when they are identical.
+func sameBits(got, want []float64) int {
+	if len(got) != len(want) {
+		return 0
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestEigenSymBitwiseMatchesReference covers sizes on both sides of
+// the power of two TCA uses, where the padded working stride matters,
+// and the TCA system itself.
 func TestEigenSymBitwiseMatchesReference(t *testing.T) {
-	for _, tc := range []struct {
+	type tc struct {
 		name string
 		a    *Matrix
-	}{
-		{"random symmetric 37x37", randomSymmetric(37, 3)},
-		{"RBF kernel 256x256", rbfKernel(256, 4, 0.25, 5)},
-	} {
-		in := tc.a.Clone()
-		vals, vecs := EigenSym(tc.a)
-		wantVals, wantVecs := eigenSymReference(tc.a)
-		for i := range tc.a.Data {
-			if math.Float64bits(tc.a.Data[i]) != math.Float64bits(in.Data[i]) {
-				t.Fatalf("%s: EigenSym modified its input", tc.name)
-			}
+	}
+	var cases []tc
+	// Under -short (and so under the race detector) the RBF kernel
+	// alone covers n = 256: the At/Set reference is slow there.
+	for _, n := range []int{1, 2, 3, 8, 64, 255, 256, 257} {
+		if n > 64 && testing.Short() {
+			continue
 		}
-		for i := range wantVals {
-			if math.Float64bits(vals[i]) != math.Float64bits(wantVals[i]) {
-				t.Fatalf("%s: eigenvalue %d = %v, reference %v", tc.name, i, vals[i], wantVals[i])
+		cases = append(cases, tc{fmt.Sprintf("random symmetric %dx%d", n, n), randomSymmetric(n, int64(n))})
+	}
+	cases = append(cases, tc{"RBF kernel 256x256", rbfKernel(256, 4, 0.25, 5)})
+	if !testing.Short() {
+		cases = append(cases, tc{"TCA system 256x256", tcaSystem(t, 256, 128, 7)})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := tc.a.Clone()
+			vals, vecs := EigenSym(tc.a)
+			wantVals, wantVecs := eigenSymReference(tc.a)
+			if i := sameBits(tc.a.Data, in.Data); i >= 0 {
+				t.Fatalf("EigenSym modified its input at %d", i)
 			}
-		}
-		for i := range wantVecs.Data {
-			if math.Float64bits(vecs.Data[i]) != math.Float64bits(wantVecs.Data[i]) {
-				t.Fatalf("%s: eigenvector entry %d = %v, reference %v", tc.name, i, vecs.Data[i], wantVecs.Data[i])
+			if i := sameBits(vals, wantVals); i >= 0 {
+				t.Fatalf("eigenvalue %d = %v, reference %v", i, vals[i], wantVals[i])
 			}
-		}
+			if i := sameBits(vecs.Data, wantVecs.Data); i >= 0 {
+				t.Fatalf("eigenvector entry %d = %v, reference %v", i, vecs.Data[i], wantVecs.Data[i])
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -333,5 +334,119 @@ func BenchmarkMatMul64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Mul(c)
+	}
+}
+
+// forwardSolveMatrixReference is ForwardSolveMatrix before it solved
+// into a transposed buffer, kept as its oracle: the same subtractions
+// in the same order, through At/Set down the columns of X.
+func forwardSolveMatrixReference(l, b *Matrix) (*Matrix, error) {
+	n := l.Rows
+	x := NewMatrix(n, b.Cols)
+	for c := 0; c < b.Cols; c++ {
+		for i := 0; i < n; i++ {
+			s := b.At(i, c)
+			for k := 0; k < i; k++ {
+				s -= l.At(i, k) * x.At(k, c)
+			}
+			d := l.At(i, i)
+			if math.Abs(d) < 1e-14 {
+				return nil, ErrSingular
+			}
+			x.Set(i, c, s/d)
+		}
+	}
+	return x, nil
+}
+
+// randomMatrix draws a rows×cols matrix with standard normal entries.
+func randomMatrix(rows, cols int, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	return m
+}
+
+// TestForwardSolveMatrixBitwiseMatchesOracle: on Cholesky factors of
+// TCA-sized kernels and on random lower-triangular systems, with
+// square, narrow, wide and empty right-hand sides, the solve equals
+// the column-walking oracle bit for bit, and a zero pivot is
+// ErrSingular on both.
+func TestForwardSolveMatrixBitwiseMatchesOracle(t *testing.T) {
+	chol := func(n int, seed int64) *Matrix {
+		a := rbfKernel(n, 4, 0.25, seed).Add(Identity(n))
+		l, err := Cholesky(a)
+		if err != nil {
+			t.Fatalf("Cholesky %d: %v", n, err)
+		}
+		return l
+	}
+	lower := func(n int, seed int64) *Matrix {
+		l := randomMatrix(n, n, seed)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				l.Set(i, j, 0)
+			}
+			l.Set(i, i, 1+math.Abs(l.At(i, i)))
+		}
+		return l
+	}
+	for _, tc := range []struct {
+		name string
+		l, b *Matrix
+	}{
+		{"Cholesky 256, square rhs", chol(256, 1), randomMatrix(256, 256, 2)},
+		{"Cholesky 256, TCA B", chol(256, 3), rbfKernel(256, 4, 0.25, 4)},
+		{"Cholesky 256, 256x4 rhs", chol(256, 5), randomMatrix(256, 4, 6)},
+		{"Cholesky 256, 256x300 rhs", chol(256, 7), randomMatrix(256, 300, 8)},
+		{"lower 37, 37x4 rhs", lower(37, 9), randomMatrix(37, 4, 10)},
+		{"lower 257, 257x300 rhs", lower(257, 11), randomMatrix(257, 300, 12)},
+		{"lower 5, 5x0 rhs", lower(5, 13), NewMatrix(5, 0)},
+		{"lower 1, 1x1 rhs", lower(1, 14), randomMatrix(1, 1, 15)},
+	} {
+		in := tc.b.Clone()
+		got, err := ForwardSolveMatrix(tc.l, tc.b)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, _ := forwardSolveMatrixReference(tc.l, tc.b)
+		if i := sameBits(tc.b.Data, in.Data); i >= 0 {
+			t.Fatalf("%s: ForwardSolveMatrix modified its rhs at %d", tc.name, i)
+		}
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("%s: shape %dx%d, oracle %dx%d", tc.name, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		if i := sameBits(got.Data, want.Data); i >= 0 {
+			t.Fatalf("%s: entry %d = %v, oracle %v", tc.name, i, got.Data[i], want.Data[i])
+		}
+	}
+
+	l := lower(16, 16)
+	l.Set(9, 9, 0)
+	for _, cols := range []int{1, 4, 16} {
+		b := randomMatrix(16, cols, 17)
+		if _, err := ForwardSolveMatrix(l, b); !errors.Is(err, ErrSingular) {
+			t.Errorf("zero pivot, %d rhs columns: err = %v, want ErrSingular", cols, err)
+		}
+		if _, err := forwardSolveMatrixReference(l, b); !errors.Is(err, ErrSingular) {
+			t.Fatalf("oracle: zero pivot, %d rhs columns: err = %v", cols, err)
+		}
+	}
+}
+
+func BenchmarkForwardSolve256(b *testing.B) {
+	a := rbfKernel(256, 4, 0.25, 5).Add(Identity(256))
+	l, err := Cholesky(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rhs := rbfKernel(256, 4, 0.25, 6)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ForwardSolveMatrix(l, rhs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

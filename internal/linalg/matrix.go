@@ -159,23 +159,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	return math.Sqrt(s)
 }
 
-// MaxAbsOffDiag returns the largest |a_ij| for i != j of a square
-// matrix; used as the Jacobi convergence criterion.
-func (m *Matrix) MaxAbsOffDiag() float64 {
-	best := 0.0
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if i == j {
-				continue
-			}
-			if a := math.Abs(m.At(i, j)); a > best {
-				best = a
-			}
-		}
-	}
-	return best
-}
-
 func (m *Matrix) mustSameShape(other *Matrix) {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		panic(fmt.Sprintf("linalg: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
@@ -336,21 +319,24 @@ func ForwardSolveMatrix(l, b *Matrix) (*Matrix, error) {
 	if b.Rows != n {
 		panic("linalg: rhs row count mismatch")
 	}
-	x := NewMatrix(n, b.Cols)
+	// Row c of xt is column c of X, so the inner product over k reads
+	// two contiguous rows instead of walking a column of X.
+	xt := b.T()
 	for c := 0; c < b.Cols; c++ {
+		xc := xt.Row(c)
 		for i := 0; i < n; i++ {
-			s := b.At(i, c)
-			for k := 0; k < i; k++ {
-				s -= l.At(i, k) * x.At(k, c)
+			s := xc[i]
+			for k, lik := range l.Data[i*n : i*n+i] {
+				s -= lik * xc[k]
 			}
-			d := l.At(i, i)
+			d := l.Data[i*n+i]
 			if math.Abs(d) < 1e-14 {
 				return nil, ErrSingular
 			}
-			x.Set(i, c, s/d)
+			xc[i] = s / d
 		}
 	}
-	return x, nil
+	return xt.T(), nil
 }
 
 // BackSolveMatrix solves U X = B for an upper-triangular U with

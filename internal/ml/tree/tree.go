@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"transer/internal/ml"
@@ -156,7 +157,15 @@ func (t *Tree) bestSplit(x [][]float64, y []int, idx []int) (feat int, thr float
 		for _, i := range idx {
 			vals = append(vals, fv{x[i][f], y[i]})
 		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+		slices.SortFunc(vals, func(a, b fv) int {
+			switch {
+			case a.v < b.v:
+				return -1
+			case a.v > b.v:
+				return 1
+			}
+			return 0
+		})
 		totalOnes := 0
 		for _, v := range vals {
 			totalOnes += v.y

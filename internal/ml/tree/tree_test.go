@@ -2,6 +2,9 @@ package tree
 
 import (
 	"errors"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -159,5 +162,111 @@ func TestTreeSetParamsRejectsBadFeature(t *testing.T) {
 	}
 	if err := New(Config{}).SetParams(bad); err == nil {
 		t.Fatalf("SetParams accepted a split feature outside the declared dim")
+	}
+}
+
+// bestSplitReference is bestSplit as it was before the typed sort,
+// kept as its oracle: the same scan over a sort.Slice ordering.
+func (t *Tree) bestSplitReference(x [][]float64, y []int, idx []int) (feat int, thr float64, ok bool) {
+	features := t.candidateFeatures()
+	bestGini := gini(y, idx)
+	type fv struct {
+		v float64
+		y int
+	}
+	vals := make([]fv, 0, len(idx))
+	for _, f := range features {
+		vals = vals[:0]
+		for _, i := range idx {
+			vals = append(vals, fv{x[i][f], y[i]})
+		}
+		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+		totalOnes := 0
+		for _, v := range vals {
+			totalOnes += v.y
+		}
+		n := len(vals)
+		leftOnes := 0
+		for i := 0; i < n-1; i++ {
+			leftOnes += vals[i].y
+			if vals[i].v == vals[i+1].v {
+				continue
+			}
+			nl := i + 1
+			nr := n - nl
+			gl := giniCounts(leftOnes, nl)
+			gr := giniCounts(totalOnes-leftOnes, nr)
+			g := (float64(nl)*gl + float64(nr)*gr) / float64(n)
+			if g < bestGini-1e-12 {
+				bestGini = g
+				feat = f
+				thr = (vals[i].v + vals[i+1].v) / 2
+				ok = true
+			}
+		}
+	}
+	return feat, thr, ok
+}
+
+// gridData draws n rows of dim similarity-like features on the 0.05
+// grid, so most feature values tie, with labels that follow the
+// feature mean plus noise.
+func gridData(rng *rand.Rand, n, dim int) ([][]float64, []int) {
+	x := make([][]float64, n)
+	y := make([]int, n)
+	for i := range x {
+		x[i] = make([]float64, dim)
+		s := 0.0
+		for f := range x[i] {
+			x[i][f] = float64(rng.Intn(21)) * 0.05
+			s += x[i][f]
+		}
+		if s/float64(dim)+0.3*rng.NormFloat64() > 0.5 {
+			y[i] = 1
+		}
+	}
+	return x, y
+}
+
+// TestBestSplitMatchesOracle: on tie-heavy grid data, bestSplit picks
+// the same feature and bit-identical threshold as the sort.Slice
+// oracle, for whole-feature trees and forest-style feature sampling
+// (the two trees share a seed, so they draw the same candidates), on
+// plain index sets and bootstrap multisets.
+func TestBestSplitMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	splits := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(300)
+		dim := 1 + rng.Intn(11)
+		x, y := gridData(rng, n, dim)
+		cfg := Config{Seed: int64(trial)}
+		if trial%2 == 1 {
+			cfg.MaxFeatures = int(math.Sqrt(float64(dim)))
+		}
+		got, want := New(cfg), New(cfg)
+		got.dim, want.dim = dim, dim
+		for call := 0; call < 4; call++ {
+			idx := make([]int, n)
+			for i := range idx {
+				if call%2 == 0 {
+					idx[i] = i
+				} else {
+					idx[i] = rng.Intn(n)
+				}
+			}
+			gf, gt, gok := got.bestSplit(x, y, idx)
+			wf, wt, wok := want.bestSplitReference(x, y, idx)
+			if gf != wf || math.Float64bits(gt) != math.Float64bits(wt) || gok != wok {
+				t.Fatalf("trial %d call %d (n=%d dim=%d MaxFeatures=%d): bestSplit = (%d, %v, %v), oracle (%d, %v, %v)",
+					trial, call, n, dim, cfg.MaxFeatures, gf, gt, gok, wf, wt, wok)
+			}
+			if gok {
+				splits++
+			}
+		}
+	}
+	if splits < 600 {
+		t.Errorf("only %d of 1200 calls found a split; the data no longer exercises the scan", splits)
 	}
 }
