@@ -131,7 +131,7 @@ func workerCounts() []struct {
 	}{{"serial", 1}, {"allCPUs", 0}}
 }
 
-// BenchmarkTable1Workers isolates the compare.Matrix fan-out: Table 1
+// BenchmarkTable1Workers isolates the query.CompareMatrix fan-out: Table 1
 // is dominated by feature-matrix construction over the record pairs.
 func BenchmarkTable1Workers(b *testing.B) {
 	for _, wc := range workerCounts() {
@@ -147,10 +147,10 @@ func BenchmarkTable1Workers(b *testing.B) {
 	}
 }
 
-// BenchmarkExperimentsColdVsWarm quantifies the artifact store's
+// BenchmarkExperimentsColdVsWarm quantifies the domain store's
 // rebuild savings on the construction-dominated experiments (Table 1
 // plus Figure 2, which share all their domains): "cold" gives every
-// iteration a fresh store, so each rebuilds all artifacts from
+// iteration a fresh store, so each rebuilds all domains from
 // scratch; "warm" shares one pre-populated store, so every iteration
 // is served from cache. The rendered output is byte-identical either
 // way; EXPERIMENTS.md records the measured gap.

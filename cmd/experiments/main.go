@@ -8,7 +8,7 @@
 //	experiments -exp table2 -scale 0.5    # one experiment at a scale
 //	experiments -exp table2 -skip-slow    # drop DTAL* (hours -> minutes)
 //	experiments -exp table2 -workers 4    # bound the worker pool
-//	experiments -exp all -cache-stats     # report artifact store use
+//	experiments -exp all -cache-stats     # report domain store use
 //	experiments -exp table2 -metrics-out report.json   # JSON run report
 //	experiments -exp table2 -cpuprofile cpu.pprof \
 //	            -memprofile mem.pprof -exectrace trace.out
@@ -16,10 +16,11 @@
 // Experiments: table1, figure2, figure5, table2 (includes table3),
 // figure6, figure7, table4, all.
 //
-// All experiments share one memoized artifact store, so each distinct
-// domain is generated, blocked and compared exactly once per run no
-// matter how many tables and figures use it; -cache-stats reports the
-// hits, misses and memoized bytes after the run.
+// All experiments share one memoized domain store, so each distinct
+// domain is generated, blocked, compared and labelled exactly once per
+// run no matter how many tables and figures use it; -cache-stats
+// reports the domain requests served from the store (hits), the domains
+// built (misses) and the memoized bytes after the run.
 //
 // Every run is traced: -metrics-out writes the hierarchical span tree
 // (experiment → grid cell → classifier → SEL/GEN/TCL phase, plus the
@@ -29,7 +30,7 @@
 //
 // All output except the wall-clock lines and the Table 3 runtime
 // column is byte-identical for every -workers value (including 1),
-// identical whether artifacts come fresh from a build or from the
+// identical whether domains come fresh from a build or from the
 // store, and identical with observability on or off.
 package main
 
@@ -59,7 +60,7 @@ func run() error {
 		seed       = flag.Int64("seed", 1, "random seed")
 		skipSlow   = flag.Bool("skip-slow", false, "skip the slowest baseline (DTAL*)")
 		workers    = flag.Int("workers", 0, "max worker goroutines (0 = one per CPU, 1 = serial)")
-		cacheStats = flag.Bool("cache-stats", false, "report artifact store hits/misses/bytes after the run")
+		cacheStats = flag.Bool("cache-stats", false, "report domain store hits/misses (domains built)/bytes after the run")
 		metricsOut = flag.String("metrics-out", "", "write a JSON run report (spans + metrics) to `file`")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to `file`")
 		memprofile = flag.String("memprofile", "", "write a heap profile to `file` at exit")
@@ -77,7 +78,7 @@ func run() error {
 		}
 	}()
 
-	// One tracer and one artifact store for the whole run: every
+	// One tracer and one domain store for the whole run: every
 	// experiment records under the same span tree, and each distinct
 	// domain is built exactly once however many tables request it.
 	tr := obs.New("experiments")

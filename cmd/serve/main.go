@@ -171,6 +171,10 @@ func run() error {
 		return err
 	}
 
+	// Catch SIGINT/SIGTERM before announcing the address: a signal that
+	// arrives once a client can connect must drain, not kill, the server.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -186,8 +190,6 @@ func run() error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errCh:
 		return err

@@ -17,19 +17,19 @@ import (
 // the match-clustering post-processing step, and the memoized domain
 // store through the public API.
 
-// CacheStats reports a DomainStore's activity: artifact requests
-// served from cache (Hits), builds performed (Misses), and the
-// approximate resident bytes of memoized artifacts.
+// CacheStats reports a DomainStore's activity: domain requests served
+// from cache (Hits), domains built (Misses), and the approximate
+// resident bytes of memoized domains.
 type CacheStats = pipeline.Stats
 
 // DomainStore memoizes built-in dataset domain construction — the
-// production-reuse extension of the paper's pipeline. Every stage
-// artifact (generated databases, candidate pairs, feature matrix,
-// labels) is cached under a deterministic fingerprint of (dataset,
-// scale, blocking, scheme, seed), and concurrent requests for the same
-// artifact are single-flighted so it is built exactly once. Cached
-// artifacts are byte-identical to what a rebuild would produce, and
-// returned Domains share them: treat every field as read-only.
+// production-reuse extension of the paper's pipeline. Each whole domain
+// (generated databases, candidate pairs, feature matrix, labels) is
+// cached under its (dataset key, generator seed, scale) identity, and
+// concurrent requests for the same domain are single-flighted so it is
+// built exactly once. Cached domains are byte-identical to what a
+// rebuild would produce, and returned Domains share them: treat every
+// field as read-only.
 type DomainStore struct {
 	store *pipeline.Store
 	// Workers bounds build parallelism (0 = one per CPU). It never

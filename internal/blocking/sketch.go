@@ -55,8 +55,7 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// addMixed inserts an already-finalised hash (Merged re-inserts kept
-// hashes and must not mix them a second time).
+// addMixed inserts a hash AddHash has already run through mix64.
 func (s *KMV) addMixed(h uint64) {
 	// Map away the (vanishingly unlikely) zero hash so the estimator's
 	// division is always defined.
@@ -135,17 +134,4 @@ func (s *KMV) Estimate() float64 {
 	}
 	kth := float64(s.min[0]) / float64(math.MaxUint64)
 	return float64(s.k-1) / kth
-}
-
-// Merged returns the estimated distinct-token count of the union of
-// two sketches built with the same k (the sketches are not modified).
-func (s *KMV) Merged(o *KMV) float64 {
-	u := NewKMV(s.k)
-	for _, h := range s.min {
-		u.addMixed(h)
-	}
-	for _, h := range o.min {
-		u.addMixed(h)
-	}
-	return u.Estimate()
 }

@@ -48,20 +48,3 @@ func TestKMVDeterministic(t *testing.T) {
 		t.Fatalf("same stream produced different estimates: %v vs %v", a, b)
 	}
 }
-
-func TestKMVMerged(t *testing.T) {
-	a, b := NewKMV(256), NewKMV(256)
-	// Disjoint halves of one universe: union ≈ 2000.
-	for i := 0; i < 1000; i++ {
-		a.AddToken(fmt.Sprintf("u-%d", i))
-		b.AddToken(fmt.Sprintf("u-%d", i+1000))
-	}
-	got := a.Merged(b)
-	if rel := math.Abs(got-2000) / 2000; rel > 0.25 {
-		t.Errorf("union estimate %v off by %.0f%%", got, rel*100)
-	}
-	// Identical sketches: union estimate equals the single estimate.
-	if got := a.Merged(a); got != a.Estimate() {
-		t.Errorf("self-union %v != estimate %v", got, a.Estimate())
-	}
-}

@@ -2,36 +2,9 @@ package compare
 
 import "transer/internal/strutil"
 
-// Builder-style helpers for assembling custom comparison schemes from
-// the full comparator catalogue, complementing DefaultScheme's
-// type-derived choices.
-
-// With returns a copy of the scheme extended by one comparator.
-func (s Scheme) With(attr int, name string, sim SimFunc) Scheme {
-	out := s
-	out.Comparators = append(append([]Comparator(nil), s.Comparators...),
-		Comparator{Attr: attr, Name: name, Sim: sim})
-	return out
-}
-
-// WithQuantize returns a copy of the scheme using the given feature
-// quantisation step (0 disables).
-func (s Scheme) WithQuantize(step float64) Scheme {
-	out := s
-	out.Quantize = step
-	return out
-}
-
-// WithMissing returns a copy of the scheme using the given missing
-// value policy.
-func (s Scheme) WithMissing(p MissingPolicy) Scheme {
-	out := s
-	out.Missing = p
-	return out
-}
-
-// Named comparator constructors for the full catalogue. Each returns a
-// SimFunc suitable for Scheme.With.
+// Named comparator constructors for the full catalogue, complementing
+// DefaultScheme's type-derived choices. Each returns a SimFunc for a
+// Comparator of a custom scheme.
 
 // JaroWinkler compares short name-like strings.
 func JaroWinkler() SimFunc { return strutil.JaroWinkler }

@@ -11,7 +11,6 @@ import (
 	"strconv"
 
 	"transer/internal/dataset"
-	"transer/internal/parallel"
 	"transer/internal/strutil"
 )
 
@@ -37,7 +36,10 @@ const (
 	MissingHalf
 )
 
-// Scheme is a full comparison schema: one comparator per feature.
+// Scheme is a full comparison schema: one comparator per feature, plus
+// the missing-value and quantisation settings. It holds no execution
+// settings; query.CompareMatrix applies it to a candidate set over a
+// caller-chosen worker pool.
 type Scheme struct {
 	Comparators []Comparator
 	Missing     MissingPolicy
@@ -48,10 +50,6 @@ type Scheme struct {
 	// reproduces that discreteness, which the local-neighbourhood
 	// machinery of instance selection methods depends on.
 	Quantize float64
-	// Workers bounds the goroutines Matrix uses to build the feature
-	// matrix; 0 means one per CPU, 1 forces serial construction. The
-	// matrix is identical for every worker count.
-	Workers int
 }
 
 // NumFeatures returns the feature space dimensionality m.
@@ -176,21 +174,6 @@ func (s Scheme) Pair(a, b dataset.Record) []float64 {
 			x[i] = math.Round(v/s.Quantize) * s.Quantize
 		}
 	}
-	return x
-}
-
-// Matrix computes the feature matrix for all candidate pairs, using
-// up to s.Workers goroutines over contiguous pair chunks. Each row
-// depends only on its own pair, so the matrix is bitwise identical
-// regardless of the worker count.
-func (s Scheme) Matrix(a, b *dataset.Database, pairs []dataset.Pair) [][]float64 {
-	x := make([][]float64, len(pairs))
-	parallel.ForEachChunk(s.Workers, len(pairs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := pairs[i]
-			x[i] = s.Pair(a.Records[p.A], b.Records[p.B])
-		}
-	})
 	return x
 }
 

@@ -96,30 +96,6 @@ func TestNumericComparator(t *testing.T) {
 	}
 }
 
-func TestMatrix(t *testing.T) {
-	sch, s := bibScheme()
-	db := &dataset.Database{Schema: sch, Records: []dataset.Record{
-		{ID: "1", Values: []string{"a b", "x y", "c1", "1990", "10"}},
-		{ID: "2", Values: []string{"a c", "x z", "c2", "1991", "12"}},
-	}}
-	pairs := []dataset.Pair{{A: 0, B: 0}, {A: 0, B: 1}, {A: 1, B: 1}}
-	x := s.Matrix(db, db, pairs)
-	if len(x) != 3 {
-		t.Fatalf("matrix rows = %d", len(x))
-	}
-	for i, row := range x {
-		if len(row) != s.NumFeatures() {
-			t.Errorf("row %d width = %d", i, len(row))
-		}
-	}
-	// Diagonal pairs are identical records.
-	for _, v := range x[0] {
-		if v != 1 {
-			t.Errorf("identical pair row = %v", x[0])
-		}
-	}
-}
-
 func TestPropertyFeatureRange(t *testing.T) {
 	_, s := bibScheme()
 	prop := func(t1, a1, c1, t2, a2, c2 string, y1, y2 int16, n1, n2 float32) bool {
@@ -213,15 +189,17 @@ func BenchmarkPairComparison(b *testing.B) {
 }
 
 func TestSchemeBuilder(t *testing.T) {
-	sch, base := bibScheme()
-	_ = sch
-	s := Scheme{}.
-		With(0, "title_sw", SmithWaterman()).
-		With(1, "author_me", MongeElkanJW()).
-		With(3, "year_w5", YearWindow(5)).
-		With(4, "len_20", NumericTolerance(0.2)).
-		WithQuantize(0).
-		WithMissing(MissingHalf)
+	_, base := bibScheme()
+	// A custom scheme assembled from the comparator catalogue.
+	s := Scheme{
+		Comparators: []Comparator{
+			{Attr: 0, Name: "title_sw", Sim: SmithWaterman()},
+			{Attr: 1, Name: "author_me", Sim: MongeElkanJW()},
+			{Attr: 3, Name: "year_w5", Sim: YearWindow(5)},
+			{Attr: 4, Name: "len_20", Sim: NumericTolerance(0.2)},
+		},
+		Missing: MissingHalf,
+	}
 	if s.NumFeatures() != 4 {
 		t.Fatalf("builder features = %d", s.NumFeatures())
 	}
@@ -240,9 +218,12 @@ func TestSchemeBuilder(t *testing.T) {
 	if x[3] <= 0 || x[3] >= 1 {
 		t.Errorf("10%% diff at 20%% tolerance should be interior, got %v", x[3])
 	}
-	// base scheme unchanged by builder copies
+	// The missing-value policy applies to custom schemes too.
+	if got := s.Pair(dataset.Record{Values: []string{"", "x", "x", "1999", "100"}}, b)[0]; got != 0.5 {
+		t.Errorf("missing title under MissingHalf = %v, want 0.5", got)
+	}
 	if base.Missing != MissingZero {
-		t.Errorf("builder mutated the base scheme")
+		t.Errorf("default scheme missing policy = %v, want MissingZero", base.Missing)
 	}
 	// extra named comparators behave
 	if TokenOverlap()("a b", "a b c d") != 1 {

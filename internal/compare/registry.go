@@ -52,17 +52,3 @@ func RegistryNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// WithNamed returns a copy of the scheme extended by one registered
-// comparator bound to the given attribute index. The feature is named
-// "attr<i>_<name>" unless label is non-empty.
-func (s Scheme) WithNamed(attr int, name, label string) (Scheme, error) {
-	sim, err := ByName(name)
-	if err != nil {
-		return Scheme{}, err
-	}
-	if label == "" {
-		label = fmt.Sprintf("attr%d_%s", attr, name)
-	}
-	return s.With(attr, label, sim), nil
-}

@@ -80,28 +80,3 @@ func TestRegistryUnknownName(t *testing.T) {
 		t.Fatalf("error does not name the offender: %v", err)
 	}
 }
-
-func TestWithNamedExtendsScheme(t *testing.T) {
-	s := Scheme{}
-	s2, err := s.WithNamed(1, "smith_waterman", "")
-	if err != nil {
-		t.Fatalf("WithNamed: %v", err)
-	}
-	if n := s2.NumFeatures(); n != 1 {
-		t.Fatalf("NumFeatures = %d, want 1", n)
-	}
-	c := s2.Comparators[0]
-	if c.Attr != 1 || c.Name != "attr1_smith_waterman" {
-		t.Fatalf("comparator = %+v", c)
-	}
-	if got := c.Sim("banana", "banana"); got != 1 {
-		t.Fatalf("bound sim self-compare = %v, want 1", got)
-	}
-	if _, err := s.WithNamed(0, "bogus", ""); err == nil {
-		t.Fatal("WithNamed accepted an unknown name")
-	}
-	// Original scheme untouched.
-	if s.NumFeatures() != 0 {
-		t.Fatal("WithNamed mutated the receiver")
-	}
-}

@@ -165,16 +165,18 @@ var (
 
 // Builtin describes one built-in data set stand-in: its stable
 // identity (the DomainPair.Name its generator produces), the fixed
-// generator seed baked into its Spec, and the generator itself. The
-// key and seed together are the dataset-identity component of the
-// pipeline package's artifact fingerprints.
+// generator seed baked into its Spec, and the generator itself. Key,
+// seed and scale together are the pipeline store's cache key.
 type Builtin struct {
 	Key  string
 	Seed int64
 	Make func(scale float64) DomainPair
 }
 
-// Builtins returns the seven data set stand-ins in Table 1 order.
+// Generate runs the generator: a pure function of (Builtin, scale).
+func (b Builtin) Generate(scale float64) DomainPair { return b.Make(scale) }
+
+// Builtins returns the eight data set stand-ins in Table 1 order.
 func Builtins() []Builtin {
 	return []Builtin{
 		{"DBLP-ACM", 101, DBLPACM},

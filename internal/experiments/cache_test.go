@@ -7,10 +7,6 @@ import (
 	"transer/internal/pipeline"
 )
 
-// distinctArtifacts is the artifact count of one fully built domain:
-// generated pair, candidate pairs, feature matrix, labels.
-const distinctArtifacts = 4
-
 // renderWith renders one experiment into a string using the given
 // store.
 func renderWith(t *testing.T, name string, opts Options, st *pipeline.Store) string {
@@ -30,13 +26,13 @@ func TestStoreSharedAcrossExperiments(t *testing.T) {
 	st := pipeline.NewStore()
 	renderWith(t, "table1", tiny(), st)
 	after1 := st.Stats()
-	if want := int64(8 * distinctArtifacts); after1.Misses != want {
-		t.Fatalf("table1 built %d artifacts, want %d", after1.Misses, want)
+	if after1.Misses != 8 {
+		t.Fatalf("table1 built %d domains, want 8", after1.Misses)
 	}
 	renderWith(t, "figure2", tiny(), st)
 	after2 := st.Stats()
 	if after2.Misses != after1.Misses {
-		t.Errorf("figure2 rebuilt %d artifacts that table1 already built",
+		t.Errorf("figure2 rebuilt %d domains that table1 already built",
 			after2.Misses-after1.Misses)
 	}
 	if after2.Hits <= after1.Hits {
@@ -49,7 +45,7 @@ func TestStoreSharedAcrossExperiments(t *testing.T) {
 }
 
 // TestColdVsWarmRenderIdentical is the cache half of the determinism
-// guarantee: rendered output must be byte-identical whether artifacts
+// guarantee: rendered output must be byte-identical whether domains
 // are built fresh (cold store) or fetched memoized (warm store), and
 // for any worker count against a warm store.
 func TestColdVsWarmRenderIdentical(t *testing.T) {
@@ -67,10 +63,9 @@ func TestColdVsWarmRenderIdentical(t *testing.T) {
 }
 
 // TestFullRunBuildsEachArtifactOnce is the acceptance check for the
-// artifact store: an -exp all style run over one shared store builds
-// each distinct (dataset, scale, blocking, scheme, seed) artifact
-// exactly once — eight datasets, four stage artifacts each — and a
-// second full run is served entirely from cache with byte-identical
+// domain store: an -exp all style run over one shared store builds
+// each distinct (dataset, generator seed, scale) domain exactly once —
+// eight datasets, one build each — and a second full run is served entirely from cache with byte-identical
 // output (modulo the Table 3 runtime column, which is wall-clock and
 // masked here exactly as the golden comparison masks it).
 func TestFullRunBuildsEachArtifactOnce(t *testing.T) {
@@ -91,14 +86,13 @@ func TestFullRunBuildsEachArtifactOnce(t *testing.T) {
 	}
 	cold := renderAll()
 	stats := st.Stats()
-	if want := int64(8 * distinctArtifacts); stats.Misses != want {
-		t.Errorf("full run built %d artifacts, want exactly %d (one per distinct domain stage)",
-			stats.Misses, want)
+	if stats.Misses != 8 {
+		t.Errorf("full run built %d domains, want exactly 8 (one per distinct domain)", stats.Misses)
 	}
 	warm := renderAll()
 	warmStats := st.Stats()
 	if warmStats.Misses != stats.Misses {
-		t.Errorf("warm full run rebuilt %d artifacts", warmStats.Misses-stats.Misses)
+		t.Errorf("warm full run rebuilt %d domains", warmStats.Misses-stats.Misses)
 	}
 	firstDiff(t, "full run: cold vs warm store", cold, warm)
 }

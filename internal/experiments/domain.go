@@ -5,10 +5,11 @@ import (
 )
 
 // buildDomain fetches one built-in dataset's blocked+compared+labelled
-// domain through the artifact store; concurrent cells requesting the
-// same dataset share a single build. The store's block and compare
-// stages execute on the query engine's operators (internal/query), the
-// repository's single blocking/compare path.
+// domain through the domain store; concurrent cells requesting the
+// same dataset share a single build. The store builds with
+// pipeline.Build, whose block and compare stages are the repository's
+// single blocking/compare path (blocking.CandidatePairs and the query
+// engine's compare operator).
 func buildDomain(st *pipeline.Store, key string, opts Options) *pipeline.Domain {
 	return st.Domain(pipeline.Request{
 		Dataset: pipeline.MustDataset(key),

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"transer/internal/core"
-	"transer/internal/datagen"
 	"transer/internal/eval"
 	"transer/internal/ml"
 	"transer/internal/ml/forest"
@@ -48,11 +47,11 @@ type Options struct {
 	// worker count: cells write to pre-sized index-addressed slots and
 	// all randomness is seeded per cell, never shared.
 	Workers int
-	// Store memoizes domain-construction artifacts (generated data,
-	// candidate pairs, feature matrices, labels). Sharing one store
-	// across experiments builds each distinct domain exactly once for
-	// the whole run; nil gives each experiment call its own store.
-	// Cached artifacts are byte-identical to rebuilt ones, so results
+	// Store memoizes whole built domains (generated data, candidate
+	// pairs, feature matrix, labels). Sharing one store across
+	// experiments builds each distinct domain exactly once for the
+	// whole run; nil gives each experiment call its own store. Cached
+	// domains are byte-identical to rebuilt ones, so results
 	// never depend on the store's temperature or hit order.
 	Store *pipeline.Store
 	// Obs, when non-nil, records hierarchical spans (experiment →
@@ -67,7 +66,7 @@ type Options struct {
 	span *obs.Span
 }
 
-// store resolves the artifact store an experiment call uses.
+// store resolves the domain store an experiment call uses.
 func (o Options) store() *pipeline.Store {
 	if o.Store != nil {
 		return o.Store
@@ -113,8 +112,8 @@ type builtTask struct {
 }
 
 // buildTask assembles the transfer.Task for one task ref, fetching
-// both domains through the artifact store. Source and target domains
-// are shared, read-only artifacts: the same dataset may back several
+// both domains through the domain store. Source and target domains
+// are shared and read-only: the same dataset may back several
 // tasks (and both roles) without being rebuilt.
 func buildTask(st *pipeline.Store, ref pipeline.TaskRef, opts Options) builtTask {
 	src := buildDomain(st, ref.Source, opts)
@@ -267,17 +266,4 @@ func labelFractionTask(bt builtTask, frac float64, seed int64) builtTask {
 	out := bt
 	out.task = &cp
 	return out
-}
-
-// buildGeneratedTask assembles the transfer.Task for an already
-// generated task (no memoization — the path for caller-supplied data).
-func buildGeneratedTask(t datagen.TransferTask, workers int) builtTask {
-	src := pipeline.BuildPair(t.Source, workers)
-	tgt := pipeline.BuildPair(t.Target, workers)
-	return taskOf(t.Name(), src, tgt)
-}
-
-// BuildTaskForProbe exposes task assembly for internal diagnostics.
-func BuildTaskForProbe(t datagen.TransferTask) *transfer.Task {
-	return buildGeneratedTask(t, 0).task
 }

@@ -119,7 +119,7 @@ func TestStoreInstrumented(t *testing.T) {
 	opts := tiny()
 	opts.Obs = tr
 	// Render the same experiment twice against one Options so the
-	// second pass hits the memoized artifacts.
+	// second pass hits the memoized domains.
 	st := opts.store()
 	opts.Store = st
 	var buf bytes.Buffer

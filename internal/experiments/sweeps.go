@@ -52,7 +52,7 @@ func Figure6(opts Options) ([]SweepRow, error) {
 }
 
 // representativeTasks builds the three sensitivity/ablation tasks
-// through the artifact store: across Figure 6, Figure 7 and Table 4
+// through the domain store: across Figure 6, Figure 7 and Table 4
 // sharing one store, each underlying domain is built exactly once.
 func representativeTasks(opts Options) []builtTask {
 	st := opts.store()

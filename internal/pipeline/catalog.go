@@ -4,44 +4,14 @@ import (
 	"transer/internal/datagen"
 )
 
-// Dataset is a cacheable dataset identity: a stable key, the generator
-// seed baked into the dataset's spec, and the pure generator function.
-// (Key, Seed, scale) fully determine the generated databases, which is
-// what lets the store fingerprint generation.
-type Dataset struct {
-	Key  string
-	Seed int64
-	Make func(scale float64) datagen.DomainPair
-}
-
-// Generate runs the generation stage: a pure function of (Dataset,
-// scale).
-func (d Dataset) Generate(scale float64) datagen.DomainPair {
-	return d.Make(scale)
-}
-
-// Catalog returns the built-in dataset stand-ins in Table 1 order.
-func Catalog() []Dataset {
-	builtins := datagen.Builtins()
-	out := make([]Dataset, len(builtins))
-	for i, b := range builtins {
-		out[i] = Dataset{Key: b.Key, Seed: b.Seed, Make: b.Make}
-	}
-	return out
-}
-
 // DatasetByKey looks a built-in dataset up by its key.
-func DatasetByKey(key string) (Dataset, bool) {
-	b, ok := datagen.BuiltinByKey(key)
-	if !ok {
-		return Dataset{}, false
-	}
-	return Dataset{Key: b.Key, Seed: b.Seed, Make: b.Make}, true
+func DatasetByKey(key string) (datagen.Builtin, bool) {
+	return datagen.BuiltinByKey(key)
 }
 
 // MustDataset is DatasetByKey for keys that are compile-time constants
 // in the experiment harness; unknown keys are programmer errors.
-func MustDataset(key string) Dataset {
+func MustDataset(key string) datagen.Builtin {
 	d, ok := DatasetByKey(key)
 	if !ok {
 		panic("pipeline: unknown built-in dataset " + key)

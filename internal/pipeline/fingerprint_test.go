@@ -1,113 +1,65 @@
 package pipeline
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
-	"transer/internal/blocking"
 	"transer/internal/compare"
+	"transer/internal/datagen"
 	"transer/internal/dataset"
 )
 
-func TestGenerateKeyIdentity(t *testing.T) {
-	d := MustDataset("DBLP-ACM")
-	if generateKey(d, 0.5) != generateKey(d, 0.5) {
-		t.Fatalf("equal inputs produced different generate keys")
-	}
-	distinct := map[string]string{
-		"base":            generateKey(d, 0.5),
-		"other scale":     generateKey(d, 0.25),
-		"other key":       generateKey(Dataset{Key: "other", Seed: d.Seed}, 0.5),
-		"other seed":      generateKey(Dataset{Key: d.Key, Seed: d.Seed + 1}, 0.5),
-		"other dataset":   generateKey(MustDataset("MSD"), 0.5),
-		"tiny scale diff": generateKey(d, 0.5000001),
-	}
-	seen := map[string]string{}
-	for name, k := range distinct {
-		if prev, dup := seen[k]; dup {
-			t.Errorf("generate keys collide: %q and %q -> %q", name, prev, k)
-		}
-		seen[k] = name
-	}
-}
-
-func TestBlockKeyNormalisesDefaults(t *testing.T) {
-	gen := fingerprint("test|gen")
-	zero := blocking.MinHashConfig{}
-	spelled := zero.Normalized()
-	if blockKey(gen, zero) != blockKey(gen, spelled) {
-		t.Errorf("zero config and spelled-out defaults must share a block key")
-	}
-	tighter := blocking.MinHashConfig{Bands: 12}
-	if blockKey(gen, zero) == blockKey(gen, tighter) {
-		t.Errorf("different band counts must not share a block key")
-	}
-	otherGen := fingerprint("test|gen2")
-	if blockKey(gen, zero) == blockKey(otherGen, zero) {
-		t.Errorf("block key must chain the upstream generate fingerprint")
-	}
-}
-
-func TestCompareKeyExcludesWorkers(t *testing.T) {
-	sch := dataset.Schema{Attributes: []dataset.Attribute{
-		{Name: "title", Type: dataset.AttrName},
-		{Name: "year", Type: dataset.AttrYear},
-	}}
-	blockFP := fingerprint("test|block")
-	a := compare.DefaultScheme(sch)
-	b := compare.DefaultScheme(sch)
-	b.Workers = 8
-	if compareKey(blockFP, a) != compareKey(blockFP, b) {
-		t.Errorf("worker count leaked into the compare fingerprint")
-	}
-	c := a.WithQuantize(0.01)
-	if compareKey(blockFP, a) == compareKey(blockFP, c) {
-		t.Errorf("quantisation step must change the compare fingerprint")
-	}
-	d := a.WithMissing(compare.MissingHalf)
-	if compareKey(blockFP, a) == compareKey(blockFP, d) {
-		t.Errorf("missing policy must change the compare fingerprint")
-	}
-	e := a.With(0, "title_exact", compare.ExactMatch())
-	if compareKey(blockFP, a) == compareKey(blockFP, e) {
-		t.Errorf("extra comparator must change the compare fingerprint")
-	}
-}
-
+// TestBuildPairMatchesStoreArtifacts: the store's build is generate
+// followed by the same Build BuildPair runs, so every builtin domain it
+// returns equals BuildPair's — pairs, features bit for bit, labels,
+// name and scheme — at any worker count.
 func TestBuildPairMatchesStoreArtifacts(t *testing.T) {
-	// The memoized path must produce exactly what the un-memoized
-	// stage composition produces.
+	const scale = 0.02
 	st := NewStore()
-	cached := st.Domain(Request{Dataset: MustDataset("DBLP-ACM"), Scale: 0.02, Workers: 1})
-	direct := BuildPair(MustDataset("DBLP-ACM").Generate(0.02), 1)
-	if cached.Name != direct.Name {
-		t.Fatalf("name mismatch: %q vs %q", cached.Name, direct.Name)
-	}
-	if len(cached.Pairs) != len(direct.Pairs) || len(cached.X) != len(direct.X) {
-		t.Fatalf("artifact sizes differ: %d/%d pairs, %d/%d rows",
-			len(cached.Pairs), len(direct.Pairs), len(cached.X), len(direct.X))
-	}
-	for i := range cached.X {
-		if cached.Y[i] != direct.Y[i] {
-			t.Fatalf("label %d differs", i)
-		}
-		for j := range cached.X[i] {
-			if cached.X[i][j] != direct.X[i][j] {
-				t.Fatalf("feature (%d,%d) differs: %v vs %v", i, j, cached.X[i][j], direct.X[i][j])
-			}
+	for _, b := range datagen.Builtins() {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", b.Key, workers), func(t *testing.T) {
+				cached := st.Domain(Request{Dataset: b, Scale: scale, Workers: workers})
+				direct := BuildPair(b.Generate(scale), workers)
+				if cached.Name != direct.Name {
+					t.Fatalf("name mismatch: %q vs %q", cached.Name, direct.Name)
+				}
+				if got, want := SchemeSignature(cached.Scheme), SchemeSignature(direct.Scheme); got != want {
+					t.Fatalf("scheme signature %q, BuildPair has %q", got, want)
+				}
+				if !reflect.DeepEqual(cached.Pairs, direct.Pairs) {
+					t.Fatalf("candidate pairs differ: %d vs %d", len(cached.Pairs), len(direct.Pairs))
+				}
+				if !reflect.DeepEqual(cached.Y, direct.Y) {
+					t.Fatalf("labels differ")
+				}
+				if len(cached.X) != len(direct.X) {
+					t.Fatalf("%d feature rows, BuildPair has %d", len(cached.X), len(direct.X))
+				}
+				for i := range cached.X {
+					for j := range cached.X[i] {
+						if math.Float64bits(cached.X[i][j]) != math.Float64bits(direct.X[i][j]) {
+							t.Fatalf("feature (%d,%d) differs: %v vs %v", i, j, cached.X[i][j], direct.X[i][j])
+						}
+					}
+				}
+			})
 		}
 	}
 }
 
 func TestCatalogCoversBuiltins(t *testing.T) {
-	cat := Catalog()
-	if len(cat) != 8 {
-		t.Fatalf("catalog has %d datasets, want 8", len(cat))
+	builtins := datagen.Builtins()
+	if len(builtins) != 8 {
+		t.Fatalf("catalog has %d datasets, want 8", len(builtins))
 	}
-	for _, d := range cat {
-		got := MustDataset(d.Key)
-		if got.Seed != d.Seed {
-			t.Errorf("%s: seed %d from lookup, %d from catalog", d.Key, got.Seed, d.Seed)
+	for _, b := range builtins {
+		got := MustDataset(b.Key)
+		if got.Key != b.Key || got.Seed != b.Seed {
+			t.Errorf("%s: lookup returned %s seed %d, want seed %d", b.Key, got.Key, got.Seed, b.Seed)
 		}
 	}
 	if _, ok := DatasetByKey("no-such-dataset"); ok {
@@ -166,6 +118,46 @@ func TestDataFingerprint(t *testing.T) {
 	}
 }
 
+// TestCompareKeyExcludesWorkers: a feature matrix's identity is the
+// scheme signature over its candidate pairs. The worker count is not
+// part of it — the matrix is bit for bit the same at every worker
+// count — while quantisation, the missing-value policy and an extra
+// comparator each change it.
+func TestCompareKeyExcludesWorkers(t *testing.T) {
+	p := datagen.Builtins()[0].Generate(0.02)
+	a, b := BuildPair(p, 1), BuildPair(p, 8)
+	if SchemeSignature(a.Scheme) != SchemeSignature(b.Scheme) {
+		t.Errorf("worker count leaked into the scheme signature")
+	}
+	if len(a.X) == 0 || len(a.X) != len(b.X) {
+		t.Fatalf("%d feature rows at 1 worker, %d at 8", len(a.X), len(b.X))
+	}
+	for i := range a.X {
+		for j := range a.X[i] {
+			if math.Float64bits(a.X[i][j]) != math.Float64bits(b.X[i][j]) {
+				t.Fatalf("feature [%d][%d] is %v at 1 worker, %v at 8", i, j, a.X[i][j], b.X[i][j])
+			}
+		}
+	}
+	sig := SchemeSignature(a.Scheme)
+	c := a.Scheme
+	c.Quantize = 0.01
+	if SchemeSignature(c) == sig {
+		t.Errorf("quantisation step must change the compare identity")
+	}
+	d := a.Scheme
+	d.Missing = compare.MissingHalf
+	if SchemeSignature(d) == sig {
+		t.Errorf("missing policy must change the compare identity")
+	}
+	e := a.Scheme
+	e.Comparators = append(append([]compare.Comparator(nil), a.Scheme.Comparators...),
+		compare.Comparator{Attr: 0, Name: "extra_exact", Sim: compare.ExactMatch()})
+	if SchemeSignature(e) == sig {
+		t.Errorf("extra comparator must change the compare identity")
+	}
+}
+
 func TestSchemeSignature(t *testing.T) {
 	sch := dataset.Schema{Attributes: []dataset.Attribute{
 		{Name: "n", Type: dataset.AttrName},
@@ -178,15 +170,25 @@ func TestSchemeSignature(t *testing.T) {
 			t.Errorf("signature %q lacks %q", sig, want)
 		}
 	}
-	// Workers must not affect the signature; quantize must.
-	w := s
-	w.Workers = 17
-	if SchemeSignature(w) != sig {
-		t.Errorf("Workers changed the scheme signature")
+	if SchemeSignature(compare.DefaultScheme(sch)) != sig {
+		t.Errorf("equal schemes produced different signatures")
 	}
+	// Every setting that changes the feature vectors changes the
+	// signature.
 	q := s
 	q.Quantize = 0.01
 	if SchemeSignature(q) == sig {
 		t.Errorf("Quantize did not change the scheme signature")
+	}
+	m := s
+	m.Missing = compare.MissingHalf
+	if SchemeSignature(m) == sig {
+		t.Errorf("Missing did not change the scheme signature")
+	}
+	e := s
+	e.Comparators = append(append([]compare.Comparator(nil), s.Comparators...),
+		compare.Comparator{Attr: 0, Name: "n_exact", Sim: compare.ExactMatch()})
+	if SchemeSignature(e) == sig {
+		t.Errorf("an extra comparator did not change the scheme signature")
 	}
 }

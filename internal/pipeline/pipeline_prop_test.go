@@ -7,6 +7,7 @@ package pipeline_test
 // tolerances.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"transer/internal/compare"
 	"transer/internal/dataset"
 	"transer/internal/pipeline"
+	"transer/internal/query"
 	"transer/internal/testkit"
 )
 
@@ -23,9 +25,9 @@ import (
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	testkit.Run(t, "pipeline/build-determinism", 8, func(pt *testkit.T) {
 		a, b := testkit.DatabasePair(pt.Rng, pt.Size*3+6)
-		one := pipeline.Build(a, b, pipeline.BuildSpec{Name: "p", Workers: 1})
+		one := pipeline.Build(a, b, pipeline.BuildSpec{Name: "p", Workers: 1}, nil)
 		for _, workers := range []int{1, 2, 4} {
-			again := pipeline.Build(a, b, pipeline.BuildSpec{Name: "p", Workers: workers})
+			again := pipeline.Build(a, b, pipeline.BuildSpec{Name: "p", Workers: workers}, nil)
 			if !reflect.DeepEqual(one.Pairs, again.Pairs) ||
 				!reflect.DeepEqual(one.X, again.X) ||
 				!reflect.DeepEqual(one.Y, again.Y) {
@@ -43,7 +45,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 func TestBuildShapeAndFeatureBounds(t *testing.T) {
 	testkit.Run(t, "pipeline/build-shape", 8, func(pt *testkit.T) {
 		a, b := testkit.DatabasePair(pt.Rng, pt.Size*3+6)
-		d := pipeline.Build(a, b, pipeline.BuildSpec{Name: "p"})
+		d := pipeline.Build(a, b, pipeline.BuildSpec{Name: "p"}, nil)
 		if len(d.X) != len(d.Pairs) {
 			pt.Fatalf("%d feature rows for %d pairs", len(d.X), len(d.Pairs))
 		}
@@ -76,7 +78,7 @@ func TestBuildShapeAndFeatureBounds(t *testing.T) {
 func TestLabelsMatchEntityIDs(t *testing.T) {
 	testkit.Run(t, "pipeline/label-consistency", 8, func(pt *testkit.T) {
 		a, b := testkit.DatabasePair(pt.Rng, pt.Size*3+6)
-		d := pipeline.Build(a, b, pipeline.BuildSpec{Name: "p"})
+		d := pipeline.Build(a, b, pipeline.BuildSpec{Name: "p"}, nil)
 		if len(d.Y) == 0 {
 			return // no true matches survived blocking-free truth derivation
 		}
@@ -102,15 +104,15 @@ func TestLabelsMatchEntityIDs(t *testing.T) {
 func TestComparePairPermutationEquivariance(t *testing.T) {
 	testkit.Run(t, "pipeline/compare-permutation", 8, func(pt *testkit.T) {
 		a, b := testkit.DatabasePair(pt.Rng, pt.Size*3+6)
-		pairs := pipeline.Block(a, b, blocking.MinHashConfig{})
+		pairs := blocking.CandidatePairs(a, b, blocking.MinHashConfig{})
 		if len(pairs) < 2 {
 			return
 		}
 		scheme := compare.DefaultScheme(a.Schema)
-		base := pipeline.Compare(a, b, pairs, scheme)
+		base, _ := query.CompareMatrix(context.Background(), a, b, scheme, pairs, 0)
 		p := testkit.Perm(pt.Rng, len(pairs))
 		permPairs := testkit.Permute(p, pairs)
-		perm := pipeline.Compare(a, b, permPairs, scheme)
+		perm, _ := query.CompareMatrix(context.Background(), a, b, scheme, permPairs, 0)
 		for i := range perm {
 			if !testkit.EqualFloats(perm[i], base[p[i]]) {
 				pt.Errorf("feature row %d does not track its pair under permutation", i)
@@ -118,8 +120,8 @@ func TestComparePairPermutationEquivariance(t *testing.T) {
 			}
 		}
 		truth := dataset.GroundTruth(a, b)
-		if !testkit.EqualInts(pipeline.Label(permPairs, truth),
-			testkit.Permute(p, pipeline.Label(pairs, truth))) {
+		if !testkit.EqualInts(dataset.LabelPairs(permPairs, truth),
+			testkit.Permute(p, dataset.LabelPairs(pairs, truth))) {
 			pt.Errorf("labelling does not commute with pair permutation")
 		}
 	})

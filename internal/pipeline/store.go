@@ -5,36 +5,34 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"transer/internal/blocking"
-	"transer/internal/compare"
 	"transer/internal/datagen"
 	"transer/internal/dataset"
 	"transer/internal/obs"
 )
 
 // Stats is a point-in-time snapshot of store activity. Hits counts
-// artifact requests served from a completed or in-flight build; Misses
-// counts builds actually performed; Bytes approximates the resident
-// size of all memoized artifacts.
+// domain requests served from a completed or in-flight build; Misses
+// counts domain builds actually performed; Bytes approximates the
+// resident size of all memoized domains.
 type Stats struct {
 	Hits, Misses int64
 	Bytes        int64
 }
 
-// Store memoizes pipeline stage outputs under their fingerprints. A
-// single store may be shared by any number of concurrent workloads:
-// requests for the same artifact are single-flighted, so each distinct
-// (dataset, scale, blocking, scheme, seed) combination is generated,
-// blocked, compared and labelled exactly once per store, no matter how
-// many experiment cells ask for it at the same time.
+// Store memoizes built-in domains. A single store may be shared by any
+// number of concurrent workloads: requests for the same domain are
+// single-flighted, so each distinct (dataset key, generator seed,
+// scale) is generated, blocked, compared and labelled exactly once per
+// store, no matter how many experiment cells ask for it at the same
+// time.
 //
-// Artifacts returned from the store are shared and must be treated as
+// Domains returned from the store are shared and must be treated as
 // read-only by every consumer — the same guarantee the experiment grid
 // already relies on when fanning one built task out over many method
 // cells.
 type Store struct {
 	mu      sync.Mutex
-	entries map[Fingerprint]*entry
+	entries map[key]*entry
 
 	hits, misses, bytes atomic.Int64
 
@@ -46,17 +44,28 @@ type Store struct {
 	bytesG      *obs.Gauge
 }
 
-// entry is one memoized artifact. done is closed once val (or pan) is
+// key is the whole identity of a store domain. The dataset key and
+// generator seed fix the generated databases and, with them, the
+// recommended blocking, the default comparison scheme and the labels;
+// the scale fixes their size. The worker count is absent: every build
+// is byte-identical for every worker count.
+type key struct {
+	dataset string
+	seed    int64
+	scale   float64
+}
+
+// entry is one memoized domain. done is closed once d (or pan) is
 // final; waiters block on it rather than rebuilding.
 type entry struct {
 	done chan struct{}
-	val  any
+	d    *Domain
 	pan  any // non-nil when the build panicked; re-raised to waiters
 }
 
-// NewStore returns an empty artifact store.
+// NewStore returns an empty domain store.
 func NewStore() *Store {
-	return &Store{entries: map[Fingerprint]*entry{}}
+	return &Store{entries: map[key]*entry{}}
 }
 
 // Stats snapshots the hit/miss/byte counters.
@@ -64,12 +73,12 @@ func (s *Store) Stats() Stats {
 	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Bytes: s.bytes.Load()}
 }
 
-// Instrument attaches the store to a tracer: every stage build becomes
-// a span under a "pipeline" group span, and the hit/miss/byte counters
-// are folded into the tracer's metrics registry
-// (pipeline.store.hits_total, pipeline.store.misses_total,
-// pipeline.store.bytes). Call before the first Domain request; a nil
-// tracer leaves the store uninstrumented.
+// Instrument attaches the store to a tracer: every domain build records
+// its generate, block, compare and label stage spans under a "pipeline"
+// group span, and the hit/miss/byte counters are folded into the
+// tracer's metrics registry (pipeline.store.hits_total,
+// pipeline.store.misses_total, pipeline.store.bytes). Call before the
+// first Domain request; a nil tracer leaves the store uninstrumented.
 func (s *Store) Instrument(t *obs.Tracer) {
 	if t == nil {
 		return
@@ -81,18 +90,38 @@ func (s *Store) Instrument(t *obs.Tracer) {
 	s.bytesG = reg.Gauge("pipeline.store.bytes")
 }
 
-// stageSpan opens one stage-build span (nil when uninstrumented).
-func (s *Store) stageSpan(stage, key string, scale float64) *obs.Span {
-	return s.obsSpan.Child(fmt.Sprintf("%s:%s@%.2f", stage, key, scale))
+// Request identifies one memoized domain build.
+type Request struct {
+	// Dataset is the built-in generator (see MustDataset / DatasetByKey).
+	Dataset datagen.Builtin
+	// Scale multiplies the generated data set sizes.
+	Scale float64
+	// Workers bounds build parallelism. It is not part of the cache
+	// key: every domain is byte-identical for every worker count.
+	Workers int
 }
 
-// get returns the artifact under fp, building it with build on the
-// first request (single-flight: concurrent requesters wait for the
-// builder instead of duplicating work). size reports the approximate
-// resident bytes of a freshly built artifact.
-func (s *Store) get(fp Fingerprint, build func() (val any, size int64)) any {
+// Domain builds (or fetches) the built-in domain of the request:
+// generate, then Build with the dataset's recommended blocking and the
+// default comparison scheme.
+func (s *Store) Domain(req Request) *Domain {
+	k := key{dataset: req.Dataset.Key, seed: req.Dataset.Seed, scale: req.Scale}
+	return s.get(k, func() *Domain {
+		sp := s.obsSpan.Child(fmt.Sprintf("generate:%s@%.2f", req.Dataset.Key, req.Scale))
+		p := req.Dataset.Generate(req.Scale)
+		sp.SetInt("records_a", int64(p.A.NumRecords()))
+		sp.SetInt("records_b", int64(p.B.NumRecords()))
+		sp.End()
+		return Build(p.A, p.B, pairSpec(p, req.Workers), s.obsSpan)
+	})
+}
+
+// get returns the domain under k, building it with build on the first
+// request (single-flight: concurrent requesters wait for the builder
+// instead of duplicating work).
+func (s *Store) get(k key, build func() *Domain) *Domain {
 	s.mu.Lock()
-	if e, ok := s.entries[fp]; ok {
+	if e, ok := s.entries[k]; ok {
 		s.mu.Unlock()
 		<-e.done
 		if e.pan != nil {
@@ -100,10 +129,10 @@ func (s *Store) get(fp Fingerprint, build func() (val any, size int64)) any {
 		}
 		s.hits.Add(1)
 		s.hitC.Add(1)
-		return e.val
+		return e.d
 	}
 	e := &entry{done: make(chan struct{})}
-	s.entries[fp] = e
+	s.entries[k] = e
 	s.mu.Unlock()
 
 	s.misses.Add(1)
@@ -118,109 +147,16 @@ func (s *Store) get(fp Fingerprint, build func() (val any, size int64)) any {
 			panic(r)
 		}
 	}()
-	val, size := build()
-	e.val = val
-	s.bytesG.Set(float64(s.bytes.Add(size)))
-	return val
+	e.d = build()
+	s.bytesG.Set(float64(s.bytes.Add(domainBytes(e.d))))
+	return e.d
 }
 
-// Request identifies one memoized domain build.
-type Request struct {
-	// Dataset is the generator identity (see Catalog / DatasetByKey).
-	Dataset Dataset
-	// Scale multiplies the generated data set sizes.
-	Scale float64
-	// Blocking overrides the dataset's recommended blocking
-	// configuration; nil uses the recommendation.
-	Blocking *blocking.MinHashConfig
-	// Scheme derives the comparison scheme from the generated schema;
-	// nil uses compare.DefaultScheme. Schemes are fingerprinted by
-	// their comparator (attr, name) signature plus the missing-value
-	// and quantisation settings, so custom comparators must carry
-	// distinct names to be distinguished.
-	Scheme func(dataset.Schema) compare.Scheme
-	// Workers bounds build parallelism. It is deliberately not part of
-	// any fingerprint: every stage output is byte-identical for every
-	// worker count.
-	Workers int
-}
-
-// Domain builds (or fetches) the fully staged domain artifact for the
-// request: generate → block → compare → label, each stage memoized
-// under its chained fingerprint.
-func (s *Store) Domain(req Request) *Domain {
-	genFP := fingerprint(generateKey(req.Dataset, req.Scale))
-	pair := s.get(genFP, func() (any, int64) {
-		sp := s.stageSpan("generate", req.Dataset.Key, req.Scale)
-		defer sp.End()
-		p := req.Dataset.Generate(req.Scale)
-		sp.SetInt("records_a", int64(p.A.NumRecords()))
-		sp.SetInt("records_b", int64(p.B.NumRecords()))
-		return p, pairBytes(p)
-	}).(datagen.DomainPair)
-
-	cfg := pair.Blocking
-	if req.Blocking != nil {
-		cfg = *req.Blocking
-	}
-	blockFP := fingerprint(blockKey(genFP, cfg))
-	pairs := s.get(blockFP, func() (any, int64) {
-		sp := s.stageSpan("block", req.Dataset.Key, req.Scale)
-		defer sp.End()
-		ps := Block(pair.A, pair.B, cfg)
-		sp.SetInt("candidate_pairs", int64(len(ps)))
-		return ps, int64(len(ps)) * 16
-	}).([]dataset.Pair)
-
-	scheme := compare.DefaultScheme(pair.A.Schema)
-	if req.Scheme != nil {
-		scheme = req.Scheme(pair.A.Schema)
-	}
-	scheme.Workers = req.Workers
-	compFP := fingerprint(compareKey(blockFP, scheme))
-	x := s.get(compFP, func() (any, int64) {
-		sp := s.stageSpan("compare", req.Dataset.Key, req.Scale)
-		defer sp.End()
-		m := Compare(pair.A, pair.B, pairs, scheme)
-		sp.SetInt("rows", int64(len(m)))
-		sp.SetInt("features", int64(scheme.NumFeatures()))
-		return m, matrixBytes(m)
-	}).([][]float64)
-
-	labelFP := fingerprint(labelKey(blockFP))
-	y := s.get(labelFP, func() (any, int64) {
-		sp := s.stageSpan("label", req.Dataset.Key, req.Scale)
-		defer sp.End()
-		ls := Label(pairs, pair.Truth())
-		matches := 0
-		for _, l := range ls {
-			if l == 1 {
-				matches++
-			}
-		}
-		sp.SetInt("labels", int64(len(ls)))
-		sp.SetInt("matches", int64(matches))
-		return ls, int64(len(ls)) * 8
-	}).([]int)
-
-	return &Domain{
-		Name:   pair.Name,
-		A:      pair.A,
-		B:      pair.B,
-		Pairs:  pairs,
-		X:      x,
-		Y:      y,
-		Scheme: scheme,
-	}
-}
-
-// pairBytes approximates the resident size of a generated domain pair.
-func pairBytes(p datagen.DomainPair) int64 {
+// domainBytes approximates the resident size of a built domain: its
+// records, candidate pairs, feature matrix and labels.
+func domainBytes(d *Domain) int64 {
 	var n int64
-	for _, db := range []*dataset.Database{p.A, p.B} {
-		if db == nil {
-			continue
-		}
+	for _, db := range []*dataset.Database{d.A, d.B} {
 		for _, r := range db.Records {
 			n += 16 // record header
 			for _, v := range r.Values {
@@ -228,14 +164,8 @@ func pairBytes(p datagen.DomainPair) int64 {
 			}
 		}
 	}
-	return n
-}
-
-// matrixBytes approximates the resident size of a feature matrix.
-func matrixBytes(x [][]float64) int64 {
-	var n int64
-	for _, row := range x {
+	for _, row := range d.X {
 		n += int64(len(row))*8 + 24
 	}
-	return n
+	return n + int64(len(d.Pairs))*16 + int64(len(d.Y))*8
 }

@@ -5,14 +5,13 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"transer/internal/blocking"
 	"transer/internal/datagen"
 )
 
 // testDataset returns a small real generator wrapped so builds can be
 // counted.
-func testDataset(builds *atomic.Int64) Dataset {
-	return Dataset{
+func testDataset(builds *atomic.Int64) datagen.Builtin {
+	return datagen.Builtin{
 		Key:  "DBLP-ACM",
 		Seed: 101,
 		Make: func(scale float64) datagen.DomainPair {
@@ -28,44 +27,36 @@ func TestStoreMemoizesAcrossRequests(t *testing.T) {
 	req := Request{Dataset: testDataset(&builds), Scale: 0.02, Workers: 1}
 
 	first := st.Domain(req)
-	if got := st.Stats(); got.Misses != 4 || got.Hits != 0 {
-		t.Fatalf("cold build: stats = %+v, want 4 misses, 0 hits", got)
+	if got := st.Stats(); got.Misses != 1 || got.Hits != 0 {
+		t.Fatalf("cold build: stats = %+v, want 1 miss, 0 hits", got)
 	}
 	second := st.Domain(req)
 	if builds.Load() != 1 {
 		t.Fatalf("generator ran %d times, want 1", builds.Load())
 	}
-	if got := st.Stats(); got.Misses != 4 || got.Hits != 4 {
-		t.Fatalf("warm build: stats = %+v, want 4 misses, 4 hits", got)
+	if got := st.Stats(); got.Misses != 1 || got.Hits != 1 {
+		t.Fatalf("warm build: stats = %+v, want 1 miss, 1 hit", got)
 	}
 	if b := st.Stats().Bytes; b <= 0 {
 		t.Fatalf("memoized bytes = %d, want > 0", b)
 	}
-	// Shared artifacts, not copies.
-	if &first.X[0][0] != &second.X[0][0] {
-		t.Errorf("warm request returned a rebuilt matrix, want the memoized one")
-	}
-	if first.Name != second.Name || len(first.Pairs) != len(second.Pairs) {
-		t.Errorf("cold and warm artifacts differ")
+	// The shared domain, not a copy.
+	if first != second {
+		t.Errorf("warm request returned a rebuilt domain, want the memoized one")
 	}
 }
 
 func TestStoreMissesOnAnyDifferingInput(t *testing.T) {
 	var builds atomic.Int64
 	base := Request{Dataset: testDataset(&builds), Scale: 0.02, Workers: 1}
-	blk := blocking.MinHashConfig{NumHashes: 60, Bands: 12}
 
 	cases := []struct {
 		name string
 		mod  func(Request) Request
-		// wantNewMisses is how many stage artifacts the modified
-		// request must rebuild (downstream stages of the first
-		// differing input).
-		wantNewMisses int64
 	}{
-		{"different scale", func(r Request) Request { r.Scale = 0.03; return r }, 4},
-		{"different dataset", func(r Request) Request { r.Dataset = MustDataset("MSD"); return r }, 4},
-		{"different blocking", func(r Request) Request { r.Blocking = &blk; return r }, 3},
+		{"different scale", func(r Request) Request { r.Scale = 0.03; return r }},
+		{"different dataset", func(r Request) Request { r.Dataset = MustDataset("MSD"); return r }},
+		{"different seed", func(r Request) Request { r.Dataset.Seed++; return r }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,8 +64,8 @@ func TestStoreMissesOnAnyDifferingInput(t *testing.T) {
 			st.Domain(base)
 			before := st.Stats().Misses
 			st.Domain(tc.mod(base))
-			if got := st.Stats().Misses - before; got != tc.wantNewMisses {
-				t.Errorf("misses after modified request = %d, want %d", got, tc.wantNewMisses)
+			if got := st.Stats().Misses - before; got != 1 {
+				t.Errorf("misses after modified request = %d, want 1", got)
 			}
 		})
 	}
@@ -87,8 +78,8 @@ func TestStoreWorkerCountDoesNotFingerprint(t *testing.T) {
 	st.Domain(req)
 	req.Workers = 8
 	st.Domain(req)
-	if got := st.Stats(); got.Misses != 4 {
-		t.Errorf("worker count changed the fingerprint: %d misses, want 4", got.Misses)
+	if got := st.Stats(); got.Misses != 1 {
+		t.Errorf("worker count changed the cache key: %d misses, want 1", got.Misses)
 	}
 }
 
@@ -116,22 +107,22 @@ func TestStoreSingleFlight(t *testing.T) {
 	if builds.Load() != 1 {
 		t.Fatalf("generator ran %d times under concurrency, want 1", builds.Load())
 	}
-	if got := st.Stats(); got.Misses != 4 {
-		t.Fatalf("stats = %+v, want exactly 4 misses", got)
+	if got := st.Stats(); got.Misses != 1 {
+		t.Fatalf("stats = %+v, want exactly 1 miss", got)
 	}
 	for i := 1; i < callers; i++ {
-		if &out[i].X[0][0] != &out[0].X[0][0] {
-			t.Fatalf("caller %d received a different matrix artifact", i)
+		if out[i] != out[0] {
+			t.Fatalf("caller %d received a different domain", i)
 		}
 	}
 }
 
 func TestStorePanicPropagatesToWaiters(t *testing.T) {
 	st := NewStore()
-	fp := fingerprint("test|panic")
+	k := key{dataset: "test-panic"}
 	catch := func() (r any) {
 		defer func() { r = recover() }()
-		st.get(fp, func() (any, int64) { panic("boom") })
+		st.get(k, func() *Domain { panic("boom") })
 		return nil
 	}
 	if r := catch(); r != "boom" {

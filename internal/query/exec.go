@@ -35,18 +35,18 @@ func SelfJoinPairs(pairs []dataset.Pair) []dataset.Pair {
 }
 
 // CompareMatrix computes the n×m feature matrix of the candidate pairs
-// under the scheme in fixed CompareBlock-row blocks over the worker
-// pool, checking ctx between blocks. Rows are written to
-// index-addressed slots, so the matrix is byte-identical for every
-// worker count. On cancellation the partial matrix is discarded.
-func CompareMatrix(ctx context.Context, a, b *dataset.Database, scheme compare.Scheme, pairs []dataset.Pair) ([][]float64, error) {
+// under the scheme in fixed CompareBlock-row blocks over up to workers
+// goroutines (0 = one per CPU), checking ctx between blocks. Rows are
+// written to index-addressed slots, so the matrix is byte-identical for
+// every worker count. On cancellation the partial matrix is discarded.
+func CompareMatrix(ctx context.Context, a, b *dataset.Database, scheme compare.Scheme, pairs []dataset.Pair, workers int) ([][]float64, error) {
 	if len(pairs) == 0 {
 		return nil, ctx.Err()
 	}
 	x := make([][]float64, len(pairs))
 	var canceled atomic.Bool
 	nBlocks := (len(pairs) + CompareBlock - 1) / CompareBlock
-	parallel.ForEach(scheme.Workers, nBlocks, func(bi int) {
+	parallel.ForEach(workers, nBlocks, func(bi int) {
 		if canceled.Load() {
 			return
 		}
@@ -128,7 +128,7 @@ func Execute(ctx context.Context, job Job, plan *Plan) (*Result, error) {
 	reg.Counter("query.candidates_total").Add(int64(len(pairs)))
 
 	cmp := span.Child("compare")
-	x, err := CompareMatrix(ctx, a, b, scheme, pairs)
+	x, err := CompareMatrix(ctx, a, b, scheme, pairs, job.Workers)
 	cmp.SetInt("rows", int64(len(x)))
 	cmp.SetInt("features", int64(scheme.NumFeatures()))
 	cmp.End()

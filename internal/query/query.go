@@ -145,7 +145,6 @@ func (job Job) resolve() (a, b *dataset.Database, scheme compare.Scheme, scorer 
 	} else {
 		scheme = compare.DefaultScheme(a.Schema)
 	}
-	scheme.Workers = job.Workers
 	if len(job.Comparators) > 0 {
 		scheme, err = applyComparators(scheme, a.Schema, job.Comparators)
 		if err != nil {

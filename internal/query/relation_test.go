@@ -4,9 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"transer/internal/blocking"
 	"transer/internal/datagen"
 	"transer/internal/dataset"
-	"transer/internal/pipeline"
 	"transer/internal/query"
 )
 
@@ -21,14 +21,14 @@ func TestRunCandidatesEqualPipelineBlock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", bi.Key, err)
 		}
-		want := pipeline.Block(pair.A, pair.B, pair.Blocking)
+		want := blocking.CandidatePairs(pair.A, pair.B, pair.Blocking)
 		if res.Candidates != len(want) || len(res.Matches) != len(want) {
-			t.Fatalf("%s: query has %d candidates (%d matches), pipeline.Block %d pairs",
+			t.Fatalf("%s: query has %d candidates (%d matches), blocking.CandidatePairs %d pairs",
 				bi.Key, res.Candidates, len(res.Matches), len(want))
 		}
 		for i, m := range res.Matches {
 			if got := (dataset.Pair{A: m.A, B: m.B}); got != want[i] {
-				t.Fatalf("%s: candidate %d = %v, pipeline.Block has %v", bi.Key, i, got, want[i])
+				t.Fatalf("%s: candidate %d = %v, blocking.CandidatePairs has %v", bi.Key, i, got, want[i])
 			}
 		}
 	}

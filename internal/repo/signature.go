@@ -164,9 +164,7 @@ func SignatureOf(ctx context.Context, a, b *dataset.Database, lsh blocking.MinHa
 	if selfJoin {
 		pairs = query.SelfJoinPairs(pairs)
 	}
-	scheme := compare.DefaultScheme(a.Schema)
-	scheme.Workers = workers
-	x, err := query.CompareMatrix(ctx, a, b, scheme, pairs)
+	x, err := query.CompareMatrix(ctx, a, b, compare.DefaultScheme(a.Schema), pairs, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -45,41 +45,12 @@ func UnderSample(x [][]float64, y []int, ratio float64, seed int64) ([][]float64
 	return outX, outY
 }
 
-// Fraction returns a random subset containing the given fraction of
-// rows (at least 1 when frac > 0 and the input is non-empty),
-// preserving original order. It models partially labelled source
-// domains (paper Section 5.2.3).
-func Fraction(x [][]float64, y []int, frac float64, seed int64) ([][]float64, []int) {
-	if frac >= 1 {
-		return x, y
-	}
-	if frac <= 0 || len(x) == 0 {
-		return nil, nil
-	}
-	n := int(float64(len(x)) * frac)
-	if n < 1 {
-		n = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	keep := rng.Perm(len(x))[:n]
-	keepSet := make(map[int]bool, n)
-	for _, k := range keep {
-		keepSet[k] = true
-	}
-	outX := make([][]float64, 0, n)
-	outY := make([]int, 0, n)
-	for i := range x {
-		if keepSet[i] {
-			outX = append(outX, x[i])
-			outY = append(outY, y[i])
-		}
-	}
-	return outX, outY
-}
-
-// StratifiedFraction is Fraction applied per class, guaranteeing both
-// classes survive subsetting whenever both are present (each class
-// keeps at least one row).
+// StratifiedFraction returns a seeded random subset holding the given
+// fraction of each class's rows, preserving original order. Each
+// present class keeps at least one row, so both classes survive
+// subsetting whenever both are present. frac ≥ 1 returns the input;
+// frac ≤ 0 or empty input returns nil. It models partially labelled
+// source domains (paper Section 5.2.3).
 func StratifiedFraction(x [][]float64, y []int, frac float64, seed int64) ([][]float64, []int) {
 	if frac >= 1 {
 		return x, y

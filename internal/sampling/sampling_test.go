@@ -85,26 +85,6 @@ func TestUnderSampleDeterministic(t *testing.T) {
 	}
 }
 
-func TestFraction(t *testing.T) {
-	x, y := makeImbalanced(50, 50)
-	fx, fy := Fraction(x, y, 0.25, 1)
-	if len(fx) != 25 || len(fy) != 25 {
-		t.Errorf("25%% of 100 rows = %d", len(fx))
-	}
-	fx, _ = Fraction(x, y, 1.0, 1)
-	if len(fx) != 100 {
-		t.Errorf("full fraction should return everything")
-	}
-	fx, _ = Fraction(x, y, 0, 1)
-	if fx != nil {
-		t.Errorf("zero fraction should return nil")
-	}
-	fx, _ = Fraction(x, y, 0.001, 1)
-	if len(fx) != 1 {
-		t.Errorf("tiny fraction should keep at least 1 row, got %d", len(fx))
-	}
-}
-
 func TestStratifiedFractionKeepsBothClasses(t *testing.T) {
 	x, y := makeImbalanced(4, 1000)
 	fx, fy := StratifiedFraction(x, y, 0.1, 1)
@@ -117,6 +97,15 @@ func TestStratifiedFractionKeepsBothClasses(t *testing.T) {
 	}
 	if len(fx) != m+n {
 		t.Errorf("x/y inconsistent")
+	}
+	if m != 1 || n != 100 {
+		t.Errorf("10%% of 4 matches and 1000 non-matches kept %d and %d, want 1 and 100", m, n)
+	}
+	if fx, _ := StratifiedFraction(x, y, 1.0, 1); len(fx) != len(x) {
+		t.Errorf("full fraction kept %d of %d rows", len(fx), len(x))
+	}
+	if fx, _ := StratifiedFraction(x, y, 0, 1); fx != nil {
+		t.Errorf("zero fraction should return nil")
 	}
 }
 

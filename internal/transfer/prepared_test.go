@@ -6,6 +6,7 @@ import (
 
 	"transer/internal/datagen"
 	"transer/internal/experiments"
+	"transer/internal/pipeline"
 	"transer/internal/testkit/oracle"
 	"transer/internal/transfer"
 )
@@ -14,10 +15,13 @@ import (
 // pairs, so DR runs alongside the feature-space methods.
 func rawTask(t *testing.T) *transfer.Task {
 	t.Helper()
-	task := experiments.BuildTaskForProbe(datagen.TransferTask{
-		Source: datagen.DBLPACM(0.05),
-		Target: datagen.DBLPScholar(0.05),
-	})
+	src := pipeline.BuildPair(datagen.DBLPACM(0.05), 0)
+	tgt := pipeline.BuildPair(datagen.DBLPScholar(0.05), 0)
+	task := &transfer.Task{
+		XS: src.X, YS: src.Y, XT: tgt.X,
+		SourceA: src.A, SourceB: src.B, TargetA: tgt.A, TargetB: tgt.B,
+		SourcePairs: src.Pairs, TargetPairs: tgt.Pairs,
+	}
 	if err := task.Validate(); err != nil {
 		t.Fatalf("raw task: %v", err)
 	}

@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"transer/internal/ml"
 	"transer/internal/ml/mltest"
 	"transer/internal/ml/tree"
+	"transer/internal/query"
 )
 
 // blobTask builds a feature-space-only Task from shifted blobs.
@@ -54,8 +56,8 @@ func domainTask(src, tgt datagen.DomainPair) (*Task, []int) {
 	schemeT := compare.DefaultScheme(tgt.A.Schema)
 	sp := blocking.CandidatePairs(src.A, src.B, blocking.MinHashConfig{Seed: 1})
 	tp := blocking.CandidatePairs(tgt.A, tgt.B, blocking.MinHashConfig{Seed: 1})
-	xs := schemeS.Matrix(src.A, src.B, sp)
-	xt := schemeT.Matrix(tgt.A, tgt.B, tp)
+	xs, _ := query.CompareMatrix(context.Background(), src.A, src.B, schemeS, sp, 0)
+	xt, _ := query.CompareMatrix(context.Background(), tgt.A, tgt.B, schemeT, tp, 0)
 	ys := dataset.LabelPairs(sp, src.Truth())
 	yt := dataset.LabelPairs(tp, tgt.Truth())
 	return &Task{

@@ -131,8 +131,8 @@ func WithoutLabels() DomainOption {
 }
 
 // NewDomain blocks and compares two databases into a Domain via the
-// staged construction pipeline (generate → block → compare → label;
-// see internal/pipeline). The two databases must share a schema (the
+// staged construction pipeline (block → compare → label; see
+// internal/pipeline). The two databases must share a schema (the
 // homogeneous feature space precondition). Labels are derived from
 // record entity identifiers when available.
 func NewDomain(a, b *Database, opts ...DomainOption) (*Domain, error) {
@@ -160,10 +160,10 @@ func NewDomain(a, b *Database, opts ...DomainOption) (*Domain, error) {
 		Blocking: o.blocking,
 		Scheme:   o.scheme,
 		NoLabels: o.dropTruth,
-	})), nil
+	}, nil)), nil
 }
 
-// domainOf converts a pipeline artifact into the public Domain type.
+// domainOf converts a pipeline domain into the public Domain type.
 func domainOf(d *pipeline.Domain) *Domain {
 	return &Domain{
 		Name:   d.Name,
