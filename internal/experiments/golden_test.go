@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The golden tests regenerate each experiment in-process at the
@@ -42,10 +43,15 @@ func normalizeGolden(s string) string {
 
 var decimalToken = regexp.MustCompile(`^\d+\.\d+$`)
 
-// maskRuntimes rewrites the Table 3 section so the mean-seconds column
-// (machine-dependent) compares equal: decimal tokens become '#' and
-// runs of whitespace collapse. Sizes and task names are integers and
-// words, so they survive the masking and stay compared.
+// table3KeyColumns counts Table 3's leading columns that do not hold
+// runtimes: the task and the two sizes.
+const table3KeyColumns = 3
+
+// maskRuntimes rewrites the Table 3 section so the mean-seconds columns
+// (machine-dependent) compare equal: decimal tokens become '#', so do
+// the dashed rules under the runtime columns (their width follows the
+// widest runtime), and runs of whitespace collapse. Task names, sizes
+// and the rules under them survive the masking and stay compared.
 func maskRuntimes(s string) string {
 	lines := strings.Split(s, "\n")
 	in := false
@@ -58,14 +64,43 @@ func maskRuntimes(s string) string {
 			continue
 		}
 		fields := strings.Fields(ln)
+		rule := len(fields) > 0 && strings.Trim(ln, " -") == ""
 		for j, f := range fields {
-			if decimalToken.MatchString(f) {
+			if decimalToken.MatchString(f) || (rule && j >= table3KeyColumns) {
 				fields[j] = "#"
 			}
 		}
 		lines[i] = strings.Join(fields, " ")
 	}
 	return strings.Join(lines, "\n")
+}
+
+// TestMaskRuntimes: renders that differ only in a runtime compare equal
+// after masking, even when that runtime widens its column's rule;
+// renders that differ in a size do not.
+func TestMaskRuntimes(t *testing.T) {
+	render := func(drSeconds float64, sourceSize int) string {
+		r := &Table2Result{
+			Rows: []MethodRow{
+				{Task: "A -> B", Method: "TransER", Runtime: 560 * time.Millisecond},
+				{Task: "A -> B", Method: "DR", Runtime: time.Duration(drSeconds * float64(time.Second))},
+			},
+			Sizes: map[string][2]int{"A -> B": {sourceSize, 3945}},
+		}
+		var buf bytes.Buffer
+		r.RuntimeTable().Render(&buf)
+		return buf.String()
+	}
+	fast, slow := render(9.60, 1214), render(21.78, 1214)
+	if fast == slow {
+		t.Fatal("renders with different DR runtimes are identical before masking")
+	}
+	if maskRuntimes(fast) != maskRuntimes(slow) {
+		t.Errorf("masked renders differ in a runtime only:\n%s\n%s", maskRuntimes(fast), maskRuntimes(slow))
+	}
+	if other := render(9.60, 12140); maskRuntimes(fast) == maskRuntimes(other) {
+		t.Errorf("masked renders with sizes 1214 and 12140 compare equal:\n%s", maskRuntimes(other))
+	}
 }
 
 // checkGolden renders one experiment and diffs it against its file.

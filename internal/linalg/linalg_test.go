@@ -30,11 +30,6 @@ func TestMatrixBasicOps(t *testing.T) {
 		t.Errorf("T wrong: %v", d.Data)
 	}
 
-	sc := a.Scale(2)
-	if sc.At(1, 1) != 8 {
-		t.Errorf("Scale wrong")
-	}
-
 	v := a.MulVec([]float64{1, 1})
 	if v[0] != 3 || v[1] != 7 {
 		t.Errorf("MulVec wrong: %v", v)
@@ -112,7 +107,7 @@ func TestCholesky(t *testing.T) {
 	}
 }
 
-func TestLUSolveAndInverse(t *testing.T) {
+func TestLUSolve(t *testing.T) {
 	a := FromRows([][]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}})
 	b := []float64{8, -11, -3}
 	x, err := LUSolve(a, b)
@@ -125,20 +120,10 @@ func TestLUSolveAndInverse(t *testing.T) {
 			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
 		}
 	}
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatalf("Inverse failed: %v", err)
-	}
-	if a.Mul(inv).Sub(Identity(3)).FrobeniusNorm() > 1e-9 {
-		t.Errorf("A * A^-1 != I")
-	}
 	// Singular matrix rejected.
 	sing := FromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := LUSolve(sing, []float64{1, 1}); err == nil {
 		t.Errorf("expected error on singular solve")
-	}
-	if _, err := Inverse(sing); err == nil {
-		t.Errorf("expected error on singular inverse")
 	}
 }
 

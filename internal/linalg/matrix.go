@@ -124,15 +124,6 @@ func (m *Matrix) Sub(other *Matrix) *Matrix {
 	return out
 }
 
-// Scale returns s * m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
 // MulVec returns the matrix-vector product m * v.
 func (m *Matrix) MulVec(v []float64) []float64 {
 	if m.Cols != len(v) {
@@ -362,26 +353,4 @@ func BackSolveMatrix(u, b *Matrix) (*Matrix, error) {
 		}
 	}
 	return x, nil
-}
-
-// Inverse returns A⁻¹ via column-wise LU solves.
-func Inverse(a *Matrix) (*Matrix, error) {
-	a.mustSquare()
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for c := 0; c < n; c++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[c] = 1
-		col, err := LUSolve(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < n; r++ {
-			inv.Set(r, c, col[r])
-		}
-	}
-	return inv, nil
 }

@@ -14,33 +14,16 @@ import (
 	"transer/internal/ml/tree"
 )
 
-// Config holds random forest hyper-parameters; the zero value uses the
-// defaults noted per field.
+// Config holds what varies between forests; the ensemble size is the
+// constant below and each split samples round(sqrt(m)) of the m
+// features.
 type Config struct {
-	// NumTrees is the ensemble size; 0 means 30.
-	NumTrees int
-	// MaxDepth per tree; 0 means 12.
-	MaxDepth int
-	// MinLeaf per tree; 0 means 2.
-	MinLeaf int
-	// MaxFeatures per split; 0 means round(sqrt(m)).
-	MaxFeatures int
 	// Seed drives bootstrap sampling and feature subsampling.
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.NumTrees == 0 {
-		c.NumTrees = 30
-	}
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 12
-	}
-	if c.MinLeaf == 0 {
-		c.MinLeaf = 2
-	}
-	return c
-}
+// numTrees is the ensemble size.
+const numTrees = 30
 
 // Forest is a random forest classifier.
 type Forest struct {
@@ -49,7 +32,7 @@ type Forest struct {
 }
 
 // New creates an untrained forest.
-func New(cfg Config) *Forest { return &Forest{cfg: cfg.withDefaults()} }
+func New(cfg Config) *Forest { return &Forest{cfg: cfg} }
 
 // Factory returns an ml.Factory producing forests with this config.
 func Factory(cfg Config) ml.Factory {
@@ -62,27 +45,19 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 	if err != nil {
 		return err
 	}
-	maxFeat := f.cfg.MaxFeatures
-	if maxFeat == 0 {
-		maxFeat = int(math.Round(math.Sqrt(float64(dim))))
-		if maxFeat < 1 {
-			maxFeat = 1
-		}
+	maxFeat := int(math.Round(math.Sqrt(float64(dim))))
+	if maxFeat < 1 {
+		maxFeat = 1
 	}
 	rng := rand.New(rand.NewSource(f.cfg.Seed))
 	n := len(x)
-	f.trees = make([]*tree.Tree, 0, f.cfg.NumTrees)
-	for t := 0; t < f.cfg.NumTrees; t++ {
+	f.trees = make([]*tree.Tree, 0, numTrees)
+	for t := 0; t < numTrees; t++ {
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = rng.Intn(n)
 		}
-		tr := tree.New(tree.Config{
-			MaxDepth:    f.cfg.MaxDepth,
-			MinLeaf:     f.cfg.MinLeaf,
-			MaxFeatures: maxFeat,
-			Seed:        rng.Int63(),
-		})
+		tr := tree.New(tree.Config{MaxFeatures: maxFeat, Seed: rng.Int63()})
 		if err := tr.FitBootstrap(x, y, idx); err != nil {
 			return err
 		}
@@ -94,11 +69,19 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 // ClassifierType implements ml.ParamClassifier.
 func (f *Forest) ClassifierType() string { return "rf" }
 
-// Params is the serialised state of a trained Forest: the configuration
-// plus every tree's own exported parameters.
+// InputDim implements ml.ParamClassifier: the width every tree reads.
+func (f *Forest) InputDim() int {
+	if len(f.trees) == 0 {
+		return 0
+	}
+	return f.trees[0].InputDim()
+}
+
+// Params is the serialised state of a trained Forest: every tree's own
+// exported parameters. Older artifacts also carry a "config" object,
+// here and in each tree, which decoding ignores.
 type Params struct {
-	Config Config            `json:"config"`
-	Trees  []json.RawMessage `json:"trees"`
+	Trees []json.RawMessage `json:"trees"`
 }
 
 // Params implements ml.ParamClassifier.
@@ -106,7 +89,7 @@ func (f *Forest) Params() ([]byte, error) {
 	if len(f.trees) == 0 {
 		return nil, ml.ErrNotTrained
 	}
-	p := Params{Config: f.cfg, Trees: make([]json.RawMessage, len(f.trees))}
+	p := Params{Trees: make([]json.RawMessage, len(f.trees))}
 	for i, tr := range f.trees {
 		b, err := tr.Params()
 		if err != nil {
@@ -132,9 +115,11 @@ func (f *Forest) SetParams(b []byte) error {
 		if err := tr.SetParams(tb); err != nil {
 			return fmt.Errorf("forest: tree %d: %w", i, err)
 		}
+		if i > 0 && tr.InputDim() != trees[0].InputDim() {
+			return fmt.Errorf("forest: tree %d reads %d features, tree 0 reads %d", i, tr.InputDim(), trees[0].InputDim())
+		}
 		trees[i] = tr
 	}
-	f.cfg = p.Config.withDefaults()
 	f.trees = trees
 	return nil
 }

@@ -70,7 +70,7 @@ func TestForestUntrained(t *testing.T) {
 
 func TestForestProbabilityAveraging(t *testing.T) {
 	x, y := mltest.TwoBlobs(200, 4, 0.15, 5)
-	f := New(Config{NumTrees: 50, Seed: 6})
+	f := New(Config{Seed: 6})
 	if err := f.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -93,5 +93,5 @@ func BenchmarkForestFit(b *testing.B) {
 }
 
 func TestForestParamsRoundTrip(t *testing.T) {
-	mltest.CheckParamRoundTrip(t, func() ml.ParamClassifier { return New(Config{Seed: 3, NumTrees: 10}) }, 7)
+	mltest.CheckParamRoundTrip(t, func() ml.ParamClassifier { return New(Config{Seed: 3}) }, 7)
 }

@@ -11,45 +11,27 @@ import (
 	"transer/internal/ml"
 )
 
-// Config holds logistic regression hyper-parameters; the zero value
-// uses the defaults noted per field.
-type Config struct {
-	// LearningRate for gradient descent; 0 means 1.0.
-	LearningRate float64
-	// Epochs of full-batch updates; 0 means 800.
-	Epochs int
-	// L2 regularisation strength; 0 means 1e-4. (Set to a negative
-	// value for explicitly unregularised training.)
-	L2 float64
-	// ClassWeight balances the loss by inverse class frequency when
-	// true — useful on the heavily imbalanced ER pair sets.
-	ClassWeight bool
-}
+// Config is empty: logistic regression has no setting that varies
+// between callers. The hyper-parameters are the constants below.
+type Config struct{}
 
-func (c Config) withDefaults() Config {
-	if c.LearningRate == 0 {
-		c.LearningRate = 1.0
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 800
-	}
-	if c.L2 == 0 {
-		c.L2 = 1e-4
-	} else if c.L2 < 0 {
-		c.L2 = 0
-	}
-	return c
-}
+const (
+	// learningRate of gradient descent.
+	learningRate = 1.0
+	// epochs of full-batch updates.
+	epochs = 800
+	// l2 is the regularisation strength.
+	l2 = 1e-4
+)
 
 // LogReg is a logistic regression classifier.
 type LogReg struct {
-	cfg  Config
 	w    []float64
 	bias float64
 }
 
 // New creates an untrained model.
-func New(cfg Config) *LogReg { return &LogReg{cfg: cfg.withDefaults()} }
+func New(Config) *LogReg { return &LogReg{} }
 
 // Factory returns an ml.Factory producing models with this config.
 func Factory(cfg Config) ml.Factory {
@@ -74,21 +56,8 @@ func (l *LogReg) Fit(x [][]float64, y []int) error {
 	l.w = make([]float64, dim)
 	l.bias = 0
 	n := len(x)
-
-	w1, w0 := 1.0, 1.0
-	if l.cfg.ClassWeight {
-		ones := 0
-		for _, v := range y {
-			ones += v
-		}
-		zeros := n - ones
-		// Inverse-frequency weights normalised to mean 1.
-		w1 = float64(n) / (2 * float64(ones))
-		w0 = float64(n) / (2 * float64(zeros))
-	}
-
 	grad := make([]float64, dim)
-	for epoch := 0; epoch < l.cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		for j := range grad {
 			grad[j] = 0
 		}
@@ -100,22 +69,16 @@ func (l *LogReg) Fit(x [][]float64, y []int) error {
 			}
 			p := sigmoid(z)
 			e := p - float64(y[i])
-			if y[i] == 1 {
-				e *= w1
-			} else {
-				e *= w0
-			}
 			for j, v := range row {
 				grad[j] += e * v
 			}
 			gradB += e
 		}
 		inv := 1 / float64(n)
-		lr := l.cfg.LearningRate
 		for j := range l.w {
-			l.w[j] -= lr * (grad[j]*inv + l.cfg.L2*l.w[j])
+			l.w[j] -= learningRate * (grad[j]*inv + l2*l.w[j])
 		}
-		l.bias -= lr * gradB * inv
+		l.bias -= learningRate * gradB * inv
 	}
 	return nil
 }
@@ -142,12 +105,15 @@ func (l *LogReg) Weights() ([]float64, float64) {
 // ClassifierType implements ml.ParamClassifier.
 func (l *LogReg) ClassifierType() string { return "logreg" }
 
-// Params is the serialised state of a trained LogReg: the configuration
-// plus the learned weight vector and bias.
+// InputDim implements ml.ParamClassifier.
+func (l *LogReg) InputDim() int { return len(l.w) }
+
+// Params is the serialised state of a trained LogReg: the learned
+// weight vector and bias. Older artifacts also carry a "config" object,
+// which decoding ignores.
 type Params struct {
-	Config Config    `json:"config"`
-	W      []float64 `json:"w"`
-	Bias   float64   `json:"bias"`
+	W    []float64 `json:"w"`
+	Bias float64   `json:"bias"`
 }
 
 // Params implements ml.ParamClassifier.
@@ -155,7 +121,7 @@ func (l *LogReg) Params() ([]byte, error) {
 	if l.w == nil {
 		return nil, ml.ErrNotTrained
 	}
-	return json.Marshal(Params{Config: l.cfg, W: l.w, Bias: l.bias})
+	return json.Marshal(Params{W: l.w, Bias: l.bias})
 }
 
 // SetParams implements ml.ParamClassifier.
@@ -167,7 +133,6 @@ func (l *LogReg) SetParams(b []byte) error {
 	if len(p.W) == 0 {
 		return fmt.Errorf("logreg: params carry no weight vector")
 	}
-	l.cfg = p.Config.withDefaults()
 	l.w = p.W
 	l.bias = p.Bias
 	return nil

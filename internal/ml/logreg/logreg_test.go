@@ -34,55 +34,6 @@ func TestLogRegWeightsDirection(t *testing.T) {
 	}
 }
 
-func TestLogRegClassWeight(t *testing.T) {
-	// Heavy imbalance: 10 positives vs 290 negatives. Class weighting
-	// should recover more positives than unweighted training.
-	x, y := mltest.TwoBlobs(600, 3, 0.25, 3)
-	var xi [][]float64
-	var yi []int
-	pos := 0
-	for i := range x {
-		if y[i] == 1 {
-			if pos >= 10 {
-				continue
-			}
-			pos++
-		}
-		xi = append(xi, x[i])
-		yi = append(yi, y[i])
-	}
-	plain := New(Config{})
-	weighted := New(Config{ClassWeight: true})
-	if err := plain.Fit(xi, yi); err != nil {
-		t.Fatal(err)
-	}
-	if err := weighted.Fit(xi, yi); err != nil {
-		t.Fatal(err)
-	}
-	xt, yt := mltest.TwoBlobs(200, 3, 0.25, 4)
-	recall := func(p []float64) float64 {
-		tp, fn := 0, 0
-		for i, v := range p {
-			if yt[i] == 1 {
-				if v >= 0.5 {
-					tp++
-				} else {
-					fn++
-				}
-			}
-		}
-		if tp+fn == 0 {
-			return 0
-		}
-		return float64(tp) / float64(tp+fn)
-	}
-	rw := recall(weighted.PredictProba(xt))
-	rp := recall(plain.PredictProba(xt))
-	if rw < rp {
-		t.Errorf("class weighting reduced recall: weighted %.3f < plain %.3f", rw, rp)
-	}
-}
-
 func TestLogRegErrors(t *testing.T) {
 	l := New(Config{})
 	if err := l.Fit(nil, nil); !errors.Is(err, ml.ErrNoTrainingData) {
@@ -135,5 +86,5 @@ func BenchmarkLogRegFit(b *testing.B) {
 }
 
 func TestLogRegParamsRoundTrip(t *testing.T) {
-	mltest.CheckParamRoundTrip(t, func() ml.ParamClassifier { return New(Config{ClassWeight: true}) }, 7)
+	mltest.CheckParamRoundTrip(t, func() ml.ParamClassifier { return New(Config{}) }, 7)
 }

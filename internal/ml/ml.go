@@ -54,6 +54,10 @@ type ParamClassifier interface {
 	// instance, replacing any trained state. After SetParams the
 	// classifier predicts exactly as the exporting instance did.
 	SetParams([]byte) error
+	// InputDim returns the feature width the learned state reads, or 0
+	// when it reads no features. Model loading checks it against the
+	// artifact's comparison scheme.
+	InputDim() int
 }
 
 // ErrNotTrained is returned by Params when the classifier has not been
@@ -145,6 +149,9 @@ func (c *Constant) PredictProba(x [][]float64) []float64 {
 
 // ClassifierType implements ParamClassifier.
 func (c *Constant) ClassifierType() string { return "constant" }
+
+// InputDim implements ParamClassifier: a Constant reads no features.
+func (c *Constant) InputDim() int { return 0 }
 
 // constantParams is the serialised state of a Constant.
 type constantParams struct {

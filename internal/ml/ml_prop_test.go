@@ -25,7 +25,7 @@ import (
 func factories() map[string]ml.Factory {
 	return map[string]ml.Factory{
 		"tree":   tree.Factory(tree.Config{Seed: 1}),
-		"forest": forest.Factory(forest.Config{NumTrees: 8, Seed: 1}),
+		"forest": forest.Factory(forest.Config{Seed: 1}),
 		"svm":    svm.Factory(svm.Config{}),
 		"logreg": logreg.Factory(logreg.Config{}),
 	}
@@ -36,7 +36,7 @@ func factories() map[string]ml.Factory {
 func scaleFreeFactories() map[string]ml.Factory {
 	return map[string]ml.Factory{
 		"tree":   tree.Factory(tree.Config{Seed: 1}),
-		"forest": forest.Factory(forest.Config{NumTrees: 8, Seed: 1}),
+		"forest": forest.Factory(forest.Config{Seed: 1}),
 	}
 }
 

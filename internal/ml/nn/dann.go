@@ -5,32 +5,26 @@ import (
 	"math/rand"
 )
 
-// DANNConfig holds domain-adversarial network hyper-parameters; the
-// zero value uses the defaults noted per field.
+// DANNConfig holds what varies between domain-adversarial networks;
+// the other hyper-parameters are the constants below.
 type DANNConfig struct {
-	// EncoderHidden is the shared encoder's output width; 0 means 16.
-	EncoderHidden int
-	// Lambda scales the reversed domain gradient into the encoder
-	// (the gradient reversal coefficient); 0 means 0.5.
-	Lambda float64
-	// LearningRate for SGD; 0 means 0.05.
-	LearningRate float64
 	// Epochs over the interleaved source/target stream; 0 means 60.
 	Epochs int
 	// Seed drives weight init and sample order.
 	Seed int64
 }
 
+const (
+	// encoderHidden is the shared encoder's output width.
+	encoderHidden = 16
+	// lambda scales the reversed domain gradient into the encoder (the
+	// gradient reversal coefficient).
+	lambda = 0.5
+	// learningRate of SGD.
+	learningRate = 0.05
+)
+
 func (c DANNConfig) withDefaults() DANNConfig {
-	if c.EncoderHidden == 0 {
-		c.EncoderHidden = 16
-	}
-	if c.Lambda == 0 {
-		c.Lambda = 0.5
-	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 0.05
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 60
 	}
@@ -64,10 +58,9 @@ func (d *DANN) FitDomains(xSrc [][]float64, ySrc []int, xTgt [][]float64) error 
 	}
 	dim := len(xSrc[0])
 	rng := rand.New(rand.NewSource(d.cfg.Seed))
-	d.encoder = newDense(dim, d.cfg.EncoderHidden, true, rng)
-	d.label = newDense(d.cfg.EncoderHidden, 1, false, rng)
-	d.domain = newDense(d.cfg.EncoderHidden, 1, false, rng)
-	lr := d.cfg.LearningRate
+	d.encoder = newDense(dim, encoderHidden, true, rng)
+	d.label = newDense(encoderHidden, 1, false, rng)
+	d.domain = newDense(encoderHidden, 1, false, rng)
 
 	labelStep := func(x []float64, y int) {
 		h := d.encoder.forward(x)
@@ -75,8 +68,8 @@ func (d *DANN) FitDomains(xSrc [][]float64, ySrc []int, xTgt [][]float64) error 
 		p := sigmoid(out[0])
 		grad := []float64{p - float64(y)}
 		gh := d.label.backwardNoUpdate(grad)
-		d.label.update(grad, lr)
-		d.encoder.backward(gh, lr)
+		d.label.update(grad, learningRate)
+		d.encoder.backward(gh, learningRate)
 	}
 
 	// domainStep trains the domain head to tell domains apart while the
@@ -88,11 +81,11 @@ func (d *DANN) FitDomains(xSrc [][]float64, ySrc []int, xTgt [][]float64) error 
 		p := sigmoid(out[0])
 		grad := []float64{p - float64(dom)}
 		gh := d.domain.backwardNoUpdate(grad)
-		d.domain.update(grad, lr)
+		d.domain.update(grad, learningRate)
 		for j := range gh {
-			gh[j] = -d.cfg.Lambda * gh[j] // gradient reversal layer
+			gh[j] = -lambda * gh[j] // gradient reversal layer
 		}
-		d.encoder.backward(gh, lr)
+		d.encoder.backward(gh, learningRate)
 	}
 
 	nS, nT := len(xSrc), len(xTgt)

@@ -44,7 +44,7 @@ func TestDANNDomainConfusion(t *testing.T) {
 	// source and target should stay modest.
 	xs, ys := mltest.TwoBlobs(300, 4, 0.1, 6)
 	xt, _ := shiftedBlobs(300, 4, 0.15, 7)
-	d := NewDANN(DANNConfig{Lambda: 1.0, Seed: 6})
+	d := NewDANN(DANNConfig{Seed: 6})
 	if err := d.FitDomains(xs, ys, xt); err != nil {
 		t.Fatal(err)
 	}

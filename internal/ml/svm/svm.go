@@ -13,36 +13,21 @@ import (
 	"transer/internal/ml"
 )
 
-// Config holds SVM hyper-parameters; the zero value uses the defaults
-// noted per field.
+// Config holds what varies between SVMs; the hyper-parameters are
+// the constants below.
 type Config struct {
-	// Lambda is the Pegasos regularisation strength; 0 means 1e-3.
-	Lambda float64
-	// Epochs of passes over the data; 0 means 40.
-	Epochs int
 	// Seed drives the sampling order.
 	Seed int64
-	// PlattIterations for the probability calibration fit; 0 means 2000.
-	PlattIterations int
-	// NoClassWeight disables the inverse-frequency class weighting of
-	// the hinge updates. By default updates are class-balanced, which
-	// keeps the SVM from collapsing to the majority class on the
-	// heavily imbalanced pair sets ER produces.
-	NoClassWeight bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.Lambda == 0 {
-		c.Lambda = 1e-3
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 40
-	}
-	if c.PlattIterations == 0 {
-		c.PlattIterations = 2000
-	}
-	return c
-}
+const (
+	// lambda is the Pegasos regularisation strength.
+	lambda = 1e-3
+	// epochs of passes over the data.
+	epochs = 40
+	// plattIterations of the probability calibration fit.
+	plattIterations = 2000
+)
 
 // SVM is a linear SVM with Platt-scaled probability outputs.
 type SVM struct {
@@ -54,7 +39,7 @@ type SVM struct {
 }
 
 // New creates an untrained SVM.
-func New(cfg Config) *SVM { return &SVM{cfg: cfg.withDefaults()} }
+func New(cfg Config) *SVM { return &SVM{cfg: cfg} }
 
 // Factory returns an ml.Factory producing SVMs with this config.
 func Factory(cfg Config) ml.Factory {
@@ -72,20 +57,20 @@ func (s *SVM) Fit(x [][]float64, y []int) error {
 	s.bias = 0
 	rng := rand.New(rand.NewSource(s.cfg.Seed))
 	n := len(x)
-	lambda := s.cfg.Lambda
+	// Inverse-frequency class weights balance the hinge updates, which
+	// keeps the SVM from collapsing to the majority class on the
+	// heavily imbalanced pair sets ER produces.
 	w1, w0 := 1.0, 1.0
-	if !s.cfg.NoClassWeight {
-		ones := 0
-		for _, v := range y {
-			ones += v
-		}
-		if ones > 0 && ones < n {
-			w1 = float64(n) / (2 * float64(ones))
-			w0 = float64(n) / (2 * float64(n-ones))
-		}
+	ones := 0
+	for _, v := range y {
+		ones += v
+	}
+	if ones > 0 && ones < n {
+		w1 = float64(n) / (2 * float64(ones))
+		w0 = float64(n) / (2 * float64(n-ones))
 	}
 	t := 0
-	for epoch := 0; epoch < s.cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		order := rng.Perm(n)
 		for _, i := range order {
 			t++
@@ -143,7 +128,7 @@ func (s *SVM) fitPlatt(x [][]float64, y []int) {
 	tNeg := 1 / (float64(n-ones) + 2)
 	a, b := 1.0, 0.0
 	lr := 0.5
-	for it := 0; it < s.cfg.PlattIterations; it++ {
+	for it := 0; it < plattIterations; it++ {
 		ga, gb := 0.0, 0.0
 		for i, sc := range scores {
 			target := tNeg
@@ -183,10 +168,13 @@ func (s *SVM) PredictProba(x [][]float64) []float64 {
 // ClassifierType implements ml.ParamClassifier.
 func (s *SVM) ClassifierType() string { return "svm" }
 
-// Params is the serialised state of a trained SVM: the configuration,
-// the learned margin and the Platt calibration.
+// InputDim implements ml.ParamClassifier.
+func (s *SVM) InputDim() int { return len(s.w) }
+
+// Params is the serialised state of a trained SVM: the learned margin
+// and the Platt calibration. Older artifacts also carry a "config"
+// object, which decoding ignores.
 type Params struct {
-	Config Config    `json:"config"`
 	W      []float64 `json:"w"`
 	Bias   float64   `json:"bias"`
 	PlattA float64   `json:"platt_a"`
@@ -198,7 +186,7 @@ func (s *SVM) Params() ([]byte, error) {
 	if s.w == nil {
 		return nil, ml.ErrNotTrained
 	}
-	return json.Marshal(Params{Config: s.cfg, W: s.w, Bias: s.bias, PlattA: s.plattA, PlattB: s.plattB})
+	return json.Marshal(Params{W: s.w, Bias: s.bias, PlattA: s.plattA, PlattB: s.plattB})
 }
 
 // SetParams implements ml.ParamClassifier.
@@ -210,7 +198,6 @@ func (s *SVM) SetParams(b []byte) error {
 	if len(p.W) == 0 {
 		return fmt.Errorf("svm: params carry no weight vector")
 	}
-	s.cfg = p.Config.withDefaults()
 	s.w = p.W
 	s.bias = p.Bias
 	s.plattA = p.PlattA

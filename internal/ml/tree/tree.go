@@ -14,13 +14,9 @@ import (
 	"transer/internal/ml"
 )
 
-// Config holds decision tree hyper-parameters. The zero value is
-// usable: it is replaced by the defaults below.
+// Config holds what varies between trees; the depth and leaf limits
+// are the constants below.
 type Config struct {
-	// MaxDepth limits tree depth; 0 means 12.
-	MaxDepth int
-	// MinLeaf is the minimum number of samples per leaf; 0 means 2.
-	MinLeaf int
 	// MaxFeatures limits the number of features considered per split
 	// (sampled without replacement); 0 means all features. Random
 	// forests set this to sqrt(m).
@@ -29,15 +25,12 @@ type Config struct {
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 12
-	}
-	if c.MinLeaf == 0 {
-		c.MinLeaf = 2
-	}
-	return c
-}
+const (
+	// maxDepth limits tree depth.
+	maxDepth = 12
+	// minLeaf is the minimum number of samples per leaf.
+	minLeaf = 2
+)
 
 // Tree is a trained decision tree classifier.
 type Tree struct {
@@ -59,7 +52,6 @@ type node struct {
 
 // New creates an untrained tree with the given configuration.
 func New(cfg Config) *Tree {
-	cfg = cfg.withDefaults()
 	return &Tree{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
@@ -116,7 +108,7 @@ func (t *Tree) grow(x [][]float64, y []int, idx []int, depth int) *node {
 		ones += y[i]
 	}
 	pure := ones == 0 || ones == len(idx)
-	if pure || depth >= t.cfg.MaxDepth || len(idx) < 2*t.cfg.MinLeaf {
+	if pure || depth >= maxDepth || len(idx) < 2*minLeaf {
 		return &node{leaf: true, proba: leafProba(y, idx)}
 	}
 	feat, thr, ok := t.bestSplit(x, y, idx)
@@ -131,7 +123,7 @@ func (t *Tree) grow(x [][]float64, y []int, idx []int, depth int) *node {
 			right = append(right, i)
 		}
 	}
-	if len(left) < t.cfg.MinLeaf || len(right) < t.cfg.MinLeaf {
+	if len(left) < minLeaf || len(right) < minLeaf {
 		return &node{leaf: true, proba: leafProba(y, idx)}
 	}
 	return &node{
@@ -250,6 +242,9 @@ func (t *Tree) predictOne(row []float64) float64 {
 // ClassifierType implements ml.ParamClassifier.
 func (t *Tree) ClassifierType() string { return "dtree" }
 
+// InputDim implements ml.ParamClassifier.
+func (t *Tree) InputDim() int { return t.dim }
+
 // NodeParams is the serialised form of one tree node: either a leaf
 // (Leaf true, Proba set) or an internal split with two children.
 type NodeParams struct {
@@ -261,11 +256,12 @@ type NodeParams struct {
 	Right     *NodeParams `json:"right,omitempty"`
 }
 
-// Params is the serialised state of a trained Tree.
+// Params is the serialised state of a trained Tree: its input width
+// and node structure. Older artifacts also carry a "config" object,
+// which decoding ignores.
 type Params struct {
-	Config Config      `json:"config"`
-	Dim    int         `json:"dim"`
-	Root   *NodeParams `json:"root"`
+	Dim  int         `json:"dim"`
+	Root *NodeParams `json:"root"`
 }
 
 func nodeParams(n *node) *NodeParams {
@@ -309,11 +305,12 @@ func (t *Tree) Params() ([]byte, error) {
 	if t.root == nil {
 		return nil, ml.ErrNotTrained
 	}
-	return json.Marshal(Params{Config: t.cfg, Dim: t.dim, Root: nodeParams(t.root)})
+	return json.Marshal(Params{Dim: t.dim, Root: nodeParams(t.root)})
 }
 
 // SetParams implements ml.ParamClassifier. Prediction walks only the
-// restored node structure, so the RNG (a fit-time concern) is reset.
+// restored node structure, so the RNG (a fit-time concern) is reset to
+// this tree's own seed.
 func (t *Tree) SetParams(b []byte) error {
 	var p Params
 	if err := json.Unmarshal(b, &p); err != nil {
@@ -326,9 +323,7 @@ func (t *Tree) SetParams(b []byte) error {
 	if err != nil {
 		return err
 	}
-	cfg := p.Config.withDefaults()
-	t.cfg = cfg
-	t.rng = rand.New(rand.NewSource(cfg.Seed))
+	t.rng = rand.New(rand.NewSource(t.cfg.Seed))
 	t.dim = p.Dim
 	t.root = root
 	return nil

@@ -52,14 +52,23 @@ func TestTreeUntrainedPredicts(t *testing.T) {
 	}
 }
 
+// TestTreeDepthLimit: 8192 alternating label runs along one feature
+// need more than 2^maxDepth leaves to separate, so the tree would grow
+// deeper than the limit if the limit did not stop it.
 func TestTreeDepthLimit(t *testing.T) {
-	x, y := mltest.XOR(400, 0.1, 3)
-	tr := New(Config{MaxDepth: 2})
+	const n = 1 << 14
+	x := make([][]float64, n)
+	y := make([]int, n)
+	for i := range x {
+		x[i] = []float64{float64(i) / n}
+		y[i] = i / 2 % 2
+	}
+	tr := New(Config{})
 	if err := tr.Fit(x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if d := tr.Depth(); d > 2 {
-		t.Errorf("depth %d exceeds limit 2", d)
+	if d := tr.Depth(); d != maxDepth {
+		t.Errorf("depth %d, want the limit %d", d, maxDepth)
 	}
 }
 
@@ -118,7 +127,7 @@ func TestFitBootstrapSingleClass(t *testing.T) {
 }
 
 func TestFactory(t *testing.T) {
-	f := Factory(Config{MaxDepth: 3})
+	f := Factory(Config{Seed: 3})
 	c1, c2 := f(), f()
 	if c1 == c2 {
 		t.Errorf("factory should create fresh instances")

@@ -48,10 +48,12 @@ func fuzzSeedArtifact(f *testing.F) []byte {
 // FuzzArtifactDecode feeds arbitrary bytes to the artifact decoder.
 // The contract under attack: Decode either rejects the input with an
 // error or returns a fully usable artifact — one whose schema and
-// scheme rebuild, whose encode → decode round trip is stable, and
-// whose fingerprint is deterministic. Truncated bodies, dropped
-// fields, wrong schema versions and mangled classifier payloads are
-// all in the seed corpus; none may panic.
+// scheme rebuild, whose encode → decode round trip is stable, whose
+// fingerprint is deterministic, and whose matcher, when NewMatcher
+// accepts it, scores without panicking. Truncated bodies, dropped
+// fields, wrong schema versions, mangled classifier payloads and
+// legacy artifacts of every classifier type are all in the seed
+// corpus; none may panic.
 func FuzzArtifactDecode(f *testing.F) {
 	valid := fuzzSeedArtifact(f)
 	f.Add(valid)
@@ -100,6 +102,15 @@ func FuzzArtifactDecode(f *testing.F) {
 		}
 		if fp1 != fp2 {
 			t.Fatalf("fingerprint changed across encode/decode: %s -> %s", fp1, fp2)
+		}
+		// Restoring the classifier may still reject the params; an
+		// assembled matcher must score a vector of the scheme's width.
+		m, merr := model.NewMatcher(a)
+		if merr != nil {
+			return
+		}
+		if p := m.Score([][]float64{make([]float64, len(a.Scheme.FeatureNames))}, 1); len(p) != 1 {
+			t.Fatalf("scoring one vector returned %d probabilities", len(p))
 		}
 	})
 }

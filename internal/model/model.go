@@ -289,8 +289,9 @@ func (a *Artifact) BuildScheme() (compare.Scheme, error) {
 	return s, nil
 }
 
-// NewClassifier instantiates the artifact's classifier and restores
-// its learned parameters.
+// NewClassifier instantiates the artifact's classifier, restores its
+// learned parameters and checks that it reads the scheme's feature
+// width.
 func (a *Artifact) NewClassifier() (ml.ParamClassifier, error) {
 	factory, ok := classifierFactories[a.Classifier.Type]
 	if !ok {
@@ -299,6 +300,11 @@ func (a *Artifact) NewClassifier() (ml.ParamClassifier, error) {
 	c := factory()
 	if err := c.SetParams(a.Classifier.Params); err != nil {
 		return nil, fmt.Errorf("model: restoring %s: %w", a.Classifier.Type, err)
+	}
+	// A classifier reading a different width than the scheme produces
+	// would index past (or ignore part of) every feature vector.
+	if d, want := c.InputDim(), len(a.Scheme.FeatureNames); d != 0 && d != want {
+		return nil, fmt.Errorf("model: %s reads %d features, scheme has %d", a.Classifier.Type, d, want)
 	}
 	return c, nil
 }

@@ -33,7 +33,7 @@ var trainables = []struct {
 	{"logreg", func() ml.ParamClassifier { return logreg.New(logreg.Config{}) }},
 	{"svm", func() ml.ParamClassifier { return svm.New(svm.Config{}) }},
 	{"dtree", func() ml.ParamClassifier { return tree.New(tree.Config{Seed: 11}) }},
-	{"rf", func() ml.ParamClassifier { return forest.New(forest.Config{NumTrees: 5, Seed: 12}) }},
+	{"rf", func() ml.ParamClassifier { return forest.New(forest.Config{Seed: 12}) }},
 }
 
 // trainingPairs derives a labelled comparison-vector set from a

@@ -171,14 +171,14 @@ func TestTraceMintedWhenHeaderAbsent(t *testing.T) {
 }
 
 // TestDebugTracesOutliveSpanBudget is the SpanSample-bias regression
-// at the HTTP level: with a tiny span budget and a small ring, late
-// requests and late errors are still retained — the old first-N
-// sampling would have kept only the boring warm-up traffic.
+// at the HTTP level: with a tiny span budget and more requests than the
+// ring holds, late requests and late errors are still retained — the
+// old first-N sampling would have kept only the boring warm-up traffic.
 func TestDebugTracesOutliveSpanBudget(t *testing.T) {
-	s := newTestServer(t, Config{Tracer: obs.New("serve-test"), SpanSample: 2, TraceBuffer: 4})
+	s := newTestServer(t, Config{Tracer: obs.New("serve-test"), SpanSample: 2})
 	h := s.Handler()
 
-	const good = 10
+	const good = traceBuffer + 6
 	for i := 0; i < good; i++ {
 		if w := postJSON(t, h, "/v1/match", samplePair()); w.Code != http.StatusOK {
 			t.Fatalf("match %d: %d", i, w.Code)
@@ -198,8 +198,8 @@ func TestDebugTracesOutliveSpanBudget(t *testing.T) {
 	if c.Recorded != good+1 {
 		t.Fatalf("recorded %d traces, want %d", c.Recorded, good+1)
 	}
-	if len(c.Recent) != 4 {
-		t.Fatalf("recent ring holds %d, want TraceBuffer=4", len(c.Recent))
+	if len(c.Recent) != traceBuffer {
+		t.Fatalf("recent ring holds %d, want traceBuffer=%d", len(c.Recent), traceBuffer)
 	}
 	// The newest entry is the late error — proof the ring rolls.
 	last := c.Recent[len(c.Recent)-1]

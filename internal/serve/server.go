@@ -61,8 +61,6 @@ type Config struct {
 	Workers int
 	// MaxBatchPairs caps the pairs of one batch request (default 10000).
 	MaxBatchPairs int
-	// MaxBodyBytes caps request body size (default 8 MiB).
-	MaxBodyBytes int64
 	// SpanSample caps how many requests record spans under the tracer;
 	// a long-running server must not grow its span tree without bound
 	// (default 256; metrics are always recorded).
@@ -75,10 +73,6 @@ type Config struct {
 	// scored request, trace-correlated via the request's traceparent.
 	// A nil logger costs nothing (see obs.Logger).
 	Logger *obs.Logger
-	// TraceBuffer caps each retention class of the tail-based trace
-	// capture behind GET /debug/traces: the N most recent requests, the
-	// N most recent errors, and the N slowest requests (default 64).
-	TraceBuffer int
 	// Stream, when non-nil, enables the streaming entity-store
 	// endpoints POST /v1/ingest and POST /v1/resolve against this
 	// store (see internal/stream). Build the store with the same
@@ -95,6 +89,15 @@ type Config struct {
 	Catalog *repo.Catalog
 }
 
+const (
+	// maxBodyBytes caps request body size.
+	maxBodyBytes = 8 << 20
+	// traceBuffer caps each retention class of the tail-based trace
+	// capture behind GET /debug/traces: the N most recent requests, the
+	// N most recent errors, and the N slowest requests.
+	traceBuffer = 64
+)
+
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = runtime.GOMAXPROCS(0)
@@ -110,14 +113,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchPairs == 0 {
 		c.MaxBatchPairs = 10000
 	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	if c.SpanSample == 0 {
 		c.SpanSample = 256
-	}
-	if c.TraceBuffer == 0 {
-		c.TraceBuffer = 64
 	}
 	return c
 }
@@ -164,7 +161,7 @@ func New(cfg Config) (*Server, error) {
 		metrics: metrics,
 		tracer:  cfg.Tracer,
 		logger:  cfg.Logger,
-		capture: obs.NewTraceCapture(cfg.TraceBuffer),
+		capture: obs.NewTraceCapture(traceBuffer),
 		rt:      obs.NewRuntimeSampler(metrics),
 		started: time.Now(),
 
@@ -321,7 +318,7 @@ func (s *Server) scored(route string, h http.HandlerFunc) http.HandlerFunc {
 			sp.End()
 			s.finishRequest(ctx, route, tc, sp, start, sw.status)
 		}()
-		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(sw, r.Body, maxBodyBytes)
 		h(sw, r)
 	}
 }

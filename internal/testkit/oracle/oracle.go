@@ -270,6 +270,6 @@ func Methods(seed int64) []transfer.Method {
 		transfer.Coral{},
 		transfer.TCA{MaxLandmarks: 40, Seed: seed},
 		transfer.LocIT{MaxTrainPoints: 80, Seed: seed},
-		transfer.DTAL{Epochs: 6, Hidden: 6, Seed: seed},
+		transfer.DTAL{Epochs: 6, Seed: seed},
 	}
 }

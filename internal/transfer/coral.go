@@ -12,11 +12,11 @@ import (
 // target. Like the original, it aligns second-order statistics only,
 // which the paper shows is insufficient for ER's bi-modal, non-normal
 // feature distributions.
-type Coral struct {
-	// Ridge regularises the covariance estimates; 0 means 1.0 (the
-	// standard CORAL "+ I" regularisation).
-	Ridge float64
-}
+type Coral struct{}
+
+// coralRidge regularises the covariance estimates: the standard CORAL
+// "+ I" regularisation.
+const coralRidge = 1.0
 
 // Name implements Method.
 func (Coral) Name() string { return "Coral" }
@@ -27,14 +27,10 @@ func (c Coral) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	ridge := c.Ridge
-	if ridge == 0 {
-		ridge = 1.0
-	}
 	xs := linalg.FromRows(t.XS)
 	xt := linalg.FromRows(t.XT)
-	covS := linalg.Covariance(xs, ridge)
-	covT := linalg.Covariance(xt, ridge)
+	covS := linalg.Covariance(xs, coralRidge)
+	covT := linalg.Covariance(xt, coralRidge)
 	// A = C_S^{-1/2} * C_T^{1/2}; aligned source = X_S * A.
 	whiten := linalg.SymPow(covS, -0.5, 1e-9)
 	colour := linalg.SymPow(covT, 0.5, 1e-9)

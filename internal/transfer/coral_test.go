@@ -14,26 +14,6 @@ func accuracy(labels, truth []int) float64 {
 	return float64(hits) / float64(len(labels))
 }
 
-// TestCoralRidgeDefault: the zero Ridge value must behave exactly like
-// the documented default of 1.0.
-func TestCoralRidgeDefault(t *testing.T) {
-	task, _ := blobTask(120, 60, 0.08, 21)
-	zero, err := Coral{}.Run(task, factory())
-	if err != nil {
-		t.Fatalf("Coral{}: %v", err)
-	}
-	one, err := Coral{Ridge: 1.0}.Run(task, factory())
-	if err != nil {
-		t.Fatalf("Coral{Ridge:1}: %v", err)
-	}
-	for i := range zero.Proba {
-		if zero.Proba[i] != one.Proba[i] {
-			t.Fatalf("row %d: zero-value Ridge gives %v, explicit 1.0 gives %v",
-				i, zero.Proba[i], one.Proba[i])
-		}
-	}
-}
-
 // TestCoralIdenticalDomainsNearIdentity: when source and target share
 // a distribution the alignment is near-identity, so CORAL must still
 // solve the easy blob problem.

@@ -180,15 +180,9 @@ func meanDist(nn []kdtree.Neighbour) float64 {
 	return s / float64(len(nn))
 }
 
-// resampleWeighted draws len(x) rows with replacement with probability
+// resampleWeightedN draws n rows with replacement with probability
 // proportional to weight, implementing instance re-weighting for
 // weight-unaware classifiers.
-func resampleWeighted(x [][]float64, y []int, w []float64, seed int64) ([][]float64, []int) {
-	return resampleWeightedN(x, y, w, seed, len(x))
-}
-
-// resampleWeightedN draws n rows with replacement proportional to
-// weight.
 func resampleWeightedN(x [][]float64, y []int, w []float64, seed int64, n int) ([][]float64, []int) {
 	total := 0.0
 	for _, v := range w {

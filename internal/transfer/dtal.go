@@ -20,10 +20,6 @@ import (
 // encoder (see DESIGN.md Section 3). The supplied ER classifier
 // factory is ignored: DTAL* carries its own model.
 type DTAL struct {
-	// Hidden is the encoder width; 0 means 16.
-	Hidden int
-	// Lambda is the gradient reversal coefficient; 0 means 0.5.
-	Lambda float64
 	// Epochs of adversarial training; 0 means 60.
 	Epochs int
 	// Seed drives the network initialisation and sampling.
@@ -40,12 +36,7 @@ func (c DTAL) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	d := nn.NewDANN(nn.DANNConfig{
-		EncoderHidden: c.Hidden,
-		Lambda:        c.Lambda,
-		Epochs:        c.Epochs,
-		Seed:          c.Seed,
-	})
+	d := nn.NewDANN(nn.DANNConfig{Epochs: c.Epochs, Seed: c.Seed})
 	if err := d.FitDomains(t.XS, t.YS, t.XT); err != nil {
 		return nil, err
 	}

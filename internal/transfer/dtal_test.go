@@ -6,7 +6,7 @@ import "testing"
 // so it must be a pure function of its seed — same seed, same output.
 func TestDTALSeedDeterminism(t *testing.T) {
 	task, _ := blobTask(100, 50, 0.05, 41)
-	m := DTAL{Epochs: 4, Hidden: 6, Seed: 9}
+	m := DTAL{Epochs: 4, Seed: 9}
 	a, err := m.Run(task, factory())
 	if err != nil {
 		t.Fatalf("first run: %v", err)

@@ -30,13 +30,14 @@ import (
 // sometimes selecting nothing, which yields the all-non-match 0.00
 // rows of Table 2.
 type LocIT struct {
-	// K is the neighbourhood size; 0 means 7.
-	K int
 	// MaxTrainPoints bounds the pair-generation work; 0 means 400.
 	MaxTrainPoints int
 	// Seed drives subsampling.
 	Seed int64
 }
+
+// locitK is the neighbourhood size.
+const locitK = 7
 
 // Name implements Method.
 func (LocIT) Name() string { return "LocIT*" }
@@ -88,10 +89,6 @@ func (c LocIT) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	k := c.K
-	if k == 0 {
-		k = 7
-	}
 	maxPts := c.MaxTrainPoints
 	if maxPts == 0 {
 		maxPts = 400
@@ -105,7 +102,7 @@ func (c LocIT) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	var fy []int
 	for _, i := range idx {
 		v := t.XT[i]
-		own := ix.KNNExcept(v, k, i)
+		own := ix.KNNExcept(v, locitK, i)
 		if len(own) == 0 {
 			continue
 		}
@@ -122,7 +119,7 @@ func (c LocIT) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 				far = j
 			}
 		}
-		farNbr := ix.KNNExcept(t.XT[far], k, far)
+		farNbr := ix.KNNExcept(t.XT[far], locitK, far)
 		if len(farNbr) == 0 {
 			continue
 		}
@@ -144,7 +141,7 @@ func (c LocIT) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	var selY []int
 	srcFeats := make([][]float64, 0, len(t.XS))
 	for _, x := range t.XS {
-		nbr := ix.KNN(x, k)
+		nbr := ix.KNN(x, locitK)
 		srcFeats = append(srcFeats, pairFeatures(x, nbr, t.XT))
 	}
 	proba := sel.PredictProba(srcFeats)

@@ -27,15 +27,12 @@ import (
 // eigenproblem is solved over MaxLandmarks instances and all rows are
 // projected through their kernel values against the landmarks, keeping
 // memory bounded while preserving the method's behaviour.
+//
+// The latent space has min(m, 4) components for m features, the
+// trade-off parameter µ is 1 and the RBF kernel coefficient is 1/m.
 type TCA struct {
-	// Components is the latent dimensionality; 0 means min(m, 4).
-	Components int
 	// MaxLandmarks bounds the kernel matrix size; 0 means 256.
 	MaxLandmarks int
-	// Mu is the trade-off/regularisation parameter µ; 0 means 1.0.
-	Mu float64
-	// Gamma is the RBF kernel coefficient; 0 means 1/m.
-	Gamma float64
 	// Seed drives the landmark subsample.
 	Seed int64
 }
@@ -51,25 +48,12 @@ func (c TCA) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 		return nil, err
 	}
 	m := t.Dim()
-	comp := c.Components
-	if comp == 0 {
-		comp = m
-		if comp > 4 {
-			comp = 4
-		}
-	}
+	comp := min(m, 4)
 	maxL := c.MaxLandmarks
 	if maxL == 0 {
 		maxL = 256
 	}
-	mu := c.Mu
-	if mu == 0 {
-		mu = 1.0
-	}
-	gamma := c.Gamma
-	if gamma == 0 {
-		gamma = 1 / float64(m)
-	}
+	gamma := 1 / float64(m)
 
 	// Landmark selection: an even split of source and target rows.
 	stage := sp.Child("kernel")
@@ -138,7 +122,7 @@ func (c TCA) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	// to wᵀ (K L K + µI) w. With A = KLK + µI = R Rᵀ and B = KHK, the
 	// top eigenvectors of C = R⁻¹ B R⁻ᵀ map back via w = R⁻ᵀ u.
 	klk := k.Mul(l).Mul(k)
-	a := klk.Add(linalg.Identity(n).Scale(mu))
+	a := klk.Add(linalg.Identity(n)) // µ = 1
 	b := k.Mul(h).Mul(k)
 	// Symmetrise against accumulated round-off.
 	symmetrise(a)

@@ -33,13 +33,18 @@ func TestTCALandmarkCapStillSolves(t *testing.T) {
 	}
 }
 
-// TestTCAComponentsCappedByDim: asking for more components than the
-// feature dimensionality must not panic and must keep output sizes.
+// TestTCAComponentsCappedByDim: on four features TCA wants four
+// components, but two landmarks make a 2×2 eigenproblem with only two;
+// the component count must be clamped to the landmark count, without a
+// panic and with full output sizes.
 func TestTCAComponentsCappedByDim(t *testing.T) {
 	task, _ := blobTask(60, 30, 0, 33)
-	res, err := TCA{Components: 64, MaxLandmarks: 40, Seed: 1}.Run(task, factory())
+	if m := task.Dim(); m < 4 {
+		t.Fatalf("task has %d features; the clamp needs at least 4", m)
+	}
+	res, err := TCA{MaxLandmarks: 2, Seed: 1}.Run(task, factory())
 	if err != nil {
-		t.Fatalf("TCA with oversized Components: %v", err)
+		t.Fatalf("TCA with two landmarks: %v", err)
 	}
 	if len(res.Labels) != len(task.XT) || len(res.Proba) != len(task.XT) {
 		t.Fatalf("output sizes %d/%d for %d target rows", len(res.Labels), len(res.Proba), len(task.XT))

@@ -284,14 +284,14 @@ func TestResampleWeighted(t *testing.T) {
 	x := [][]float64{{0}, {1}, {2}}
 	y := []int{0, 1, 0}
 	// All weight on row 1.
-	rx, ry := resampleWeighted(x, y, []float64{0, 1, 0}, 1)
+	rx, ry := resampleWeightedN(x, y, []float64{0, 1, 0}, 1, len(x))
 	for i := range rx {
 		if rx[i][0] != 1 || ry[i] != 1 {
 			t.Fatalf("weighted resampling ignored weights: %v %v", rx[i], ry[i])
 		}
 	}
 	// Zero weights fall back to the original data.
-	rx, _ = resampleWeighted(x, y, []float64{0, 0, 0}, 1)
+	rx, _ = resampleWeightedN(x, y, []float64{0, 0, 0}, 1, len(x))
 	if len(rx) != 3 || rx[2][0] != 2 {
 		t.Errorf("zero-weight fallback broken")
 	}
