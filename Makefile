@@ -105,7 +105,10 @@ bench-serve: $(MODEL)
 # Bounded fuzzing smoke: each native fuzz target runs for a short,
 # fixed budget on top of its checked-in seed corpus (testdata/fuzz).
 # The go tool accepts only one -fuzz target per invocation, hence one
-# line per target. Counterexamples land in testdata/fuzz/<Target>/ —
+# line per target. FuzzRecover's inputs are a whole snapshot and WAL,
+# each run ingests records, and minimising one new input at the default
+# budget would use up the whole smoke; its minimisation is capped at 2 s.
+# Counterexamples land in testdata/fuzz/<Target>/ —
 # commit them as regression seeds after fixing the bug they expose.
 FUZZTIME ?= 10s
 fuzz:
@@ -114,6 +117,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCSVDataset$$' -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzVectorKey$$' -fuzztime $(FUZZTIME) ./internal/kdtree/
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestRecord$$' -fuzztime $(FUZZTIME) ./internal/stream/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/stream/
 	$(GO) test -run '^$$' -fuzz '^FuzzArtifactDecode$$' -fuzztime $(FUZZTIME) ./internal/model/
 
 # Query-engine benchmark: one batch similarity join at serial and full

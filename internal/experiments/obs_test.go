@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"transer/internal/obs"
+	"transer/internal/transfer"
 )
 
 // renderTraced renders one experiment with a fresh tracer attached and
@@ -65,6 +67,8 @@ func TestTable2IdenticalWithTracing(t *testing.T) {
 		"TransER": {"sel"},
 		"TCA":     {"kernel", "eigen", "project"},
 		"DR":      {"represent", "weight", "resample"},
+		"LocIT*":  {"neighbours", "selector"},
+		"Coral":   {"covariance", "align"},
 	}
 	var cells int
 	for _, c := range exp.Children() {
@@ -109,6 +113,38 @@ func TestTable2IdenticalWithTracing(t *testing.T) {
 	}
 	if exp.Find("fit") == nil || exp.Find("predict") == nil {
 		t.Errorf("classifier fit/predict spans missing")
+	}
+}
+
+// TestEvaluateMethodStageSpans: LocIT*, CORAL and DTAL* record their
+// prepare stages under a traced EvaluateMethod, and the evaluation is
+// byte-identical with tracing on or off.
+func TestEvaluateMethodStageSpans(t *testing.T) {
+	opts := tiny()
+	bt := representativeTasks(opts)[0]
+	for _, tc := range []struct {
+		m      transfer.Method
+		stages []string
+	}{
+		{transfer.LocIT{Seed: 1}, []string{"neighbours", "selector"}},
+		{transfer.Coral{}, []string{"covariance", "align"}},
+		{transfer.DTAL{Seed: 1, Epochs: 2}, []string{"train", "predict"}},
+	} {
+		evaluate := func(sp *obs.Span) string {
+			ev, err := EvaluateMethod(tc.m, bt.task, bt.truthT, opts.Classifiers, sp)
+			if err != nil {
+				t.Fatalf("%s (traced=%v): %v", tc.m.Name(), sp != nil, err)
+			}
+			ev.Runtime = 0 // wall clock
+			return fmt.Sprintf("%+v", ev)
+		}
+		plain := evaluate(nil)
+		tr := obs.New("test")
+		firstDiff(t, tc.m.Name()+": tracing off vs on", plain, evaluate(tr.Root()))
+		prepare := tr.Root().Find("prepare")
+		if got := spanNames(prepare.Children()); strings.Join(got, ",") != strings.Join(tc.stages, ",") {
+			t.Errorf("%s: prepare stages %v, want %v", tc.m.Name(), got, tc.stages)
+		}
 	}
 }
 

@@ -117,17 +117,6 @@ func maxAbsOffDiagStrided(d []float64, n, ld int) float64 {
 	return best
 }
 
-// rotateRows applies the Jacobi rotation (c, s) to the row pair
-// (rp, rq): rp ← c·rp − s·rq and rq ← s·rp + c·rq, element by element.
-func rotateRows(rp, rq []float64, c, s float64) {
-	rq = rq[:len(rp)]
-	for k, x := range rp {
-		y := rq[k]
-		rp[k] = c*x - s*y
-		rq[k] = s*x + c*y
-	}
-}
-
 // SymPow returns Aᵖ for a symmetric positive semi-definite A computed
 // through its eigendecomposition: Q diag(λᵖ) Qᵀ. Eigenvalues below eps
 // are clamped to eps before the power is applied, which makes negative

@@ -22,16 +22,20 @@ const coralRidge = 1.0
 func (Coral) Name() string { return "Coral" }
 
 // Prepare implements Method: the alignment matrix and the aligned
-// source rows.
-func (c Coral) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
+// source rows, in stage spans covariance and align under sp.
+func (c Coral) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	stage := sp.Child("covariance")
 	xs := linalg.FromRows(t.XS)
 	xt := linalg.FromRows(t.XT)
 	covS := linalg.Covariance(xs, coralRidge)
 	covT := linalg.Covariance(xt, coralRidge)
+	stage.End()
+
 	// A = C_S^{-1/2} * C_T^{1/2}; aligned source = X_S * A.
+	stage = sp.Child("align")
 	whiten := linalg.SymPow(covS, -0.5, 1e-9)
 	colour := linalg.SymPow(covT, 0.5, 1e-9)
 	align := whiten.Mul(colour)
@@ -40,6 +44,7 @@ func (c Coral) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	for i := range aligned {
 		aligned[i] = alignedRows.Row(i)
 	}
+	stage.End()
 	return trainingSet{x: aligned, y: t.YS, xt: t.XT}, nil
 }
 

@@ -31,15 +31,21 @@ func (DTAL) Name() string { return "DTAL*" }
 
 // Prepare implements Method. DTAL* carries its own model, so all of
 // its work — the adversarial training and the target predictions — is
-// classifier-independent and happens here.
-func (c DTAL) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
+// classifier-independent and happens here, in stage spans train and
+// predict under sp.
+func (c DTAL) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	stage := sp.Child("train")
 	d := nn.NewDANN(nn.DANNConfig{Epochs: c.Epochs, Seed: c.Seed})
-	if err := d.FitDomains(t.XS, t.YS, t.XT); err != nil {
+	err := d.FitDomains(t.XS, t.YS, t.XT)
+	stage.End()
+	if err != nil {
 		return nil, err
 	}
+	stage = sp.Child("predict")
+	defer stage.End()
 	return dtalPrepared(d.PredictProba(t.XT)), nil
 }
 

@@ -84,8 +84,10 @@ func cov(points [][]float64, nbr []kdtree.Neighbour, centre []float64) []float64
 }
 
 // Prepare implements Method: the selector SVM and the source rows it
-// transfers.
-func (c LocIT) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
+// transfers, in stage spans neighbours (the target index and the
+// selector's training pairs) and selector (its fit and the scoring of
+// every source row) under sp.
+func (c LocIT) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -93,6 +95,8 @@ func (c LocIT) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	if maxPts == 0 {
 		maxPts = 400
 	}
+	stage := sp.Child("neighbours")
+	defer func() { stage.End() }()
 	rng := rand.New(rand.NewSource(c.Seed))
 	ix := kdtree.NewWeightedIndex(kdtree.Uniq(t.XT))
 
@@ -129,6 +133,8 @@ func (c LocIT) Prepare(t *Task, _ *obs.Span) (Prepared, error) {
 	if len(fx) == 0 {
 		return allZero(len(t.XT)), nil
 	}
+	stage.End()
+	stage = sp.Child("selector")
 	sel, err := ml.FitWithFallback(func() ml.Classifier {
 		return svm.New(svm.Config{Seed: c.Seed})
 	}, fx, fy)
