@@ -1,9 +1,35 @@
 package linalg
 
-// useAVX2 routes rotateRows and axpy through the AVX2 assembly
+import "math"
+
+// useAVX2 routes rotateRows and Axpy through the AVX2 assembly
 // kernels. It is set once from the CPU's feature bits (always false
-// off amd64); tests flip it to compare the two paths.
+// off amd64); tests flip it through UseKernels to compare the paths.
 var useAVX2 = haveAVX2()
+
+// haveSigmoidFMA reports whether the AVX2+FMA sigmoid kernel may run:
+// the CPU has AVX2 and FMA, and the kernel agrees bit for bit with
+// Sigmoid on a start-up probe. The kernel follows math.Exp's FMA branch,
+// so the probe fails, and the kernel stays off, wherever math.Exp
+// takes its other branch (GODEBUG=cpu.fma=off, say).
+var haveSigmoidFMA = useAVX2 && haveFMA() && sigmoidKernelAgrees()
+
+// useSigmoidFMA routes Sigmoids through the AVX2+FMA kernel.
+var useSigmoidFMA = haveSigmoidFMA
+
+// UseKernels selects the AVX2 kernels (avx2 true) or the Go loops for
+// every routine in this package, and returns a function that restores
+// the previous choice. It reports ok false, and changes nothing, when
+// asked for kernels the CPU lacks. Only tests and benchmarks call it,
+// to pin one path; the default is the fastest path the CPU offers.
+func UseKernels(avx2 bool) (restore func(), ok bool) {
+	if avx2 && !haveAVX2() {
+		return func() {}, false
+	}
+	oldAVX2, oldFMA := useAVX2, useSigmoidFMA
+	useAVX2, useSigmoidFMA = avx2, avx2 && haveSigmoidFMA
+	return func() { useAVX2, useSigmoidFMA = oldAVX2, oldFMA }, true
+}
 
 // rotateRows applies the Jacobi rotation (c, s) to the row pair
 // (rp, rq): rp ← c·rp − s·rq and rq ← s·rp + c·rq, element by element.
@@ -16,15 +42,73 @@ func rotateRows(rp, rq []float64, c, s float64) {
 	rotateRowsGo(rp, rq, c, s)
 }
 
-// axpy adds a·src to dst element by element; src must be at least as
-// long as dst.
-func axpy(dst, src []float64, a float64) {
+// Axpy adds a·src to dst element by element (dst[j] += a * src[j]);
+// src must be at least as long as dst. Every lane rounds as that Go
+// statement does.
+func Axpy(dst, src []float64, a float64) {
 	src = src[:len(dst)]
 	if useAVX2 {
 		axpyAVX2(dst, src, a)
 		return
 	}
 	axpyGo(dst, src, a)
+}
+
+// Sigmoid is the logistic function 1/(1+e^−z), evaluated through
+// math.Exp of −|z| so that neither branch overflows.
+func Sigmoid(z float64) float64 {
+	if z >= 0 {
+		e := math.Exp(-z)
+		return 1 / (1 + e)
+	}
+	e := math.Exp(z)
+	return e / (1 + e)
+}
+
+// Sigmoids sets dst[i] = Sigmoid(z[i]) for every i, bit for bit; dst
+// must be at least as long as z and may be z itself. The kernel takes
+// four lanes at a time and stops at a block holding a lane with
+// |z| > 708 or NaN, whose exp needs math.Exp's range checks; that
+// block, and the tail, go through Sigmoid.
+func Sigmoids(dst, z []float64) {
+	dst = dst[:len(z)]
+	i := 0
+	if useSigmoidFMA {
+		for {
+			i += sigmoidAVX2FMA(dst[i:], z[i:])
+			if len(z)-i < 4 {
+				break
+			}
+			for end := i + 4; i < end; i++ {
+				dst[i] = Sigmoid(z[i])
+			}
+		}
+	}
+	for ; i < len(z); i++ {
+		dst[i] = Sigmoid(z[i])
+	}
+}
+
+// sigmoidKernelAgrees runs the AVX2+FMA kernel on 256 inputs spread
+// over [−36.8, 36.5] and reports whether every lane equals Sigmoid bit
+// for bit. The FMA and the plain branch of math.Exp round some of
+// those inputs differently, so a kernel that follows the other branch
+// than math.Exp fails here (TestKernelSigmoidFollowsMathExp checks it).
+func sigmoidKernelAgrees() bool {
+	z := make([]float64, 256)
+	for i := range z {
+		z[i] = float64(i-128) * 0.2871
+	}
+	got := make([]float64, len(z))
+	if sigmoidAVX2FMA(got, z) != len(z) {
+		return false
+	}
+	for i, v := range z {
+		if math.Float64bits(got[i]) != math.Float64bits(Sigmoid(v)) {
+			return false
+		}
+	}
+	return true
 }
 
 // rotateRowsGo is rotateRows on every CPU without AVX2. The assembly
@@ -39,7 +123,7 @@ func rotateRowsGo(rp, rq []float64, c, s float64) {
 	}
 }
 
-// axpyGo is axpy on every CPU without AVX2.
+// axpyGo is Axpy on every CPU without AVX2.
 func axpyGo(dst, src []float64, a float64) {
 	src = src[:len(dst)]
 	for j := range dst {

@@ -3,13 +3,21 @@ package linalg
 // The AVX2 kernels in kernels_amd64.s multiply and then add or
 // subtract in separate instructions (no FMA), with the operands in the
 // order the Go expressions name them, so every lane rounds exactly as
-// rotateRowsGo and axpyGo do.
+// rotateRowsGo and axpyGo do. The sigmoid kernel is the exception: it
+// uses FMA exactly where math.Exp's own amd64 assembly does.
 
 //go:noescape
 func rotateRowsAVX2(rp, rq []float64, c, s float64)
 
 //go:noescape
 func axpyAVX2(dst, src []float64, a float64)
+
+// sigmoidAVX2FMA sets dst[i] = Sigmoid(z[i]) four lanes at a time and
+// returns how many it set: a multiple of four, short of len(z) by the
+// tail or at the first block holding a lane with |z| > 708 or NaN.
+//
+//go:noescape
+func sigmoidAVX2FMA(dst, z []float64) int
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -34,4 +42,11 @@ func haveAVX2() bool {
 	_, ebx7, _, _ := cpuid(7, 0)
 	const avx2 = 1 << 5
 	return ebx7&avx2 != 0
+}
+
+// haveFMA reports whether the CPU implements FMA3.
+func haveFMA() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	const fma = 1 << 12
+	return ecx1&fma != 0
 }

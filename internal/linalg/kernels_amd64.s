@@ -90,6 +90,111 @@ axpydone:
 	VZEROUPPER
 	RET
 
+// The sigmoid kernel's constants. LOG2E, LN2U, LN2L and the Taylor
+// coefficients are those of $GOROOT/src/math/exp_amd64.s, the
+// assembly behind math.Exp on amd64.
+DATA sigmoidconst<>+0(SB)/8, $0x8000000000000000  // sign bit
+DATA sigmoidconst<>+8(SB)/8, $708.0               // largest |z| the kernel takes
+DATA sigmoidconst<>+16(SB)/8, $1.4426950408889634073599246810018920  // LOG2E
+DATA sigmoidconst<>+24(SB)/8, $0.69314718055966295651160180568695068359375  // LN2U
+DATA sigmoidconst<>+32(SB)/8, $0.28235290563031577122588448175013436025525412068e-12  // LN2L
+DATA sigmoidconst<>+40(SB)/8, $0.0625
+DATA sigmoidconst<>+48(SB)/8, $1.0
+DATA sigmoidconst<>+56(SB)/8, $2.0
+DATA sigmoidconst<>+64(SB)/8, $0x3FF                // exponent bias
+DATA sigmoidconst<>+72(SB)/8, $2.4801587301587301587e-5
+DATA sigmoidconst<>+80(SB)/8, $1.9841269841269841270e-4
+DATA sigmoidconst<>+88(SB)/8, $1.3888888888888888889e-3
+DATA sigmoidconst<>+96(SB)/8, $8.3333333333333333333e-3
+DATA sigmoidconst<>+104(SB)/8, $4.1666666666666666667e-2
+DATA sigmoidconst<>+112(SB)/8, $1.6666666666666666667e-1
+DATA sigmoidconst<>+120(SB)/8, $0.5
+GLOBL sigmoidconst<>(SB), RODATA|NOPTR, $128
+
+// func sigmoidAVX2FMA(dst, z []float64) int
+//
+// Each lane computes e = exp(x) for x = −z when z ≥ 0 and x = z
+// otherwise, by the avxfma branch of math.Exp instruction for
+// instruction: k = round(x·LOG2E) by VCVTPD2DQ, r = x − k·LN2U − k·LN2L
+// by two fused steps, r/16, the fused Taylor polynomial, four
+// r ← r·(r+2) steps (the last fused with +1) and the scaling by 2^k.
+// |z| ≤ 708 keeps k + 1023 ≥ 2, so math.Exp's overflow, denormal and
+// non-finite paths never apply. The lane then returns 1/(1+e) for
+// z ≥ 0 and e/(1+e) otherwise, as Sigmoid does.
+TEXT ·sigmoidAVX2FMA(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         z_base+24(FP), SI
+	MOVQ         z_len+32(FP), CX
+	ANDQ         $-4, CX
+	XORQ         AX, AX
+	VBROADCASTSD sigmoidconst<>+0(SB), Y15
+	VBROADCASTSD sigmoidconst<>+8(SB), Y14
+	VBROADCASTSD sigmoidconst<>+16(SB), Y13
+	VBROADCASTSD sigmoidconst<>+24(SB), Y12
+	VBROADCASTSD sigmoidconst<>+32(SB), Y11
+	VBROADCASTSD sigmoidconst<>+40(SB), Y10
+	VBROADCASTSD sigmoidconst<>+48(SB), Y9
+	VBROADCASTSD sigmoidconst<>+56(SB), Y8
+	VPBROADCASTQ sigmoidconst<>+64(SB), Y7
+	VXORPD       Y6, Y6, Y6
+
+sig4:
+	CMPQ         AX, CX
+	JGE          sigdone
+	VMOVUPD      (SI)(AX*8), Y0       // z
+	VANDNPD      Y0, Y15, Y1          // |z|
+	VCMPPD       $0x02, Y14, Y1, Y1   // |z| ≤ 708, false for NaN
+	VMOVMSKPD    Y1, BX
+	CMPQ         BX, $15
+	JNE          sigdone
+	VCMPPD       $0x1D, Y6, Y0, Y1    // z ≥ 0
+	VXORPD       Y15, Y0, Y2          // −z
+	VBLENDVPD    Y1, Y2, Y0, Y2       // x = z ≥ 0 ? −z : z
+	VMULPD       Y13, Y2, Y3          // x·LOG2E
+	VCVTPD2DQY   Y3, X3               // k, rounded to nearest
+	VCVTDQ2PD    X3, Y4
+	VFNMADD231PD Y12, Y4, Y2          // r = x − k·LN2U
+	VFNMADD231PD Y11, Y4, Y2          // r −= k·LN2L
+	VMULPD       Y10, Y2, Y2          // r/16
+	VBROADCASTSD sigmoidconst<>+72(SB), Y4
+	VBROADCASTSD sigmoidconst<>+80(SB), Y5
+	VFMADD213PD  Y5, Y2, Y4           // p = p·r + c
+	VBROADCASTSD sigmoidconst<>+88(SB), Y5
+	VFMADD213PD  Y5, Y2, Y4
+	VBROADCASTSD sigmoidconst<>+96(SB), Y5
+	VFMADD213PD  Y5, Y2, Y4
+	VBROADCASTSD sigmoidconst<>+104(SB), Y5
+	VFMADD213PD  Y5, Y2, Y4
+	VBROADCASTSD sigmoidconst<>+112(SB), Y5
+	VFMADD213PD  Y5, Y2, Y4
+	VBROADCASTSD sigmoidconst<>+120(SB), Y5
+	VFMADD213PD  Y5, Y2, Y4
+	VFMADD213PD  Y9, Y2, Y4           // p = p·r + 1
+	VMULPD       Y4, Y2, Y2           // r·p
+	VADDPD       Y8, Y2, Y4
+	VMULPD       Y4, Y2, Y2           // r·(r+2)
+	VADDPD       Y8, Y2, Y4
+	VMULPD       Y4, Y2, Y2
+	VADDPD       Y8, Y2, Y4
+	VMULPD       Y4, Y2, Y2
+	VADDPD       Y8, Y2, Y4
+	VFMADD213PD  Y9, Y4, Y2           // r·(r+2) + 1
+	VPMOVSXDQ    X3, Y4
+	VPADDQ       Y7, Y4, Y4
+	VPSLLQ       $52, Y4, Y4          // 2^k
+	VMULPD       Y4, Y2, Y2           // e
+	VADDPD       Y2, Y9, Y3           // 1 + e
+	VBLENDVPD    Y1, Y9, Y2, Y4       // z ≥ 0 ? 1 : e
+	VDIVPD       Y3, Y4, Y4
+	VMOVUPD      Y4, (DI)(AX*8)
+	ADDQ         $4, AX
+	JMP          sig4
+
+sigdone:
+	MOVQ       AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

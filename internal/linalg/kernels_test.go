@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -11,12 +14,21 @@ import (
 // assembly path on a CPU without AVX2 skips the test.
 func forceAVX2(tb testing.TB, on bool) {
 	tb.Helper()
-	if on && !haveAVX2() {
+	restore, ok := UseKernels(on)
+	if !ok {
 		tb.Skip("CPU lacks AVX2: only the Go kernels run here")
 	}
-	old := useAVX2
-	useAVX2 = on
-	tb.Cleanup(func() { useAVX2 = old })
+	tb.Cleanup(restore)
+}
+
+// forceSigmoidFMA forces the AVX2+FMA sigmoid kernel for the rest of
+// the test, and skips the test where it cannot run.
+func forceSigmoidFMA(tb testing.TB) {
+	tb.Helper()
+	forceAVX2(tb, true)
+	if !haveSigmoidFMA {
+		tb.Skip("CPU lacks FMA, or math.Exp skips its FMA branch: only the scalar sigmoid runs here")
+	}
 }
 
 // kernelPaths names the two kernel paths by their useAVX2 setting.
@@ -135,7 +147,7 @@ func TestKernelAxpyMatchesGo(t *testing.T) {
 				want := append([]float64(nil), dst...)
 				axpyGo(want, src, a)
 				got := unaligned(dst)
-				axpy(got, unaligned(src), a)
+				Axpy(got, unaligned(src), a)
 				if i := sameKernelBits(got, want); i >= 0 {
 					t.Fatalf("n=%d a=%v: dst[%d] = %v, Go %v", n, a, i, got[i], want[i])
 				}
@@ -277,5 +289,193 @@ func BenchmarkRotateRows256(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rotateRows(rp, rq, c, s)
 		}
+	})
+}
+
+// sigmoidInRange are the edge inputs the kernel takes itself: signed
+// zeros, ±708 and the float just inside it, subnormals and other tiny
+// inputs whose exp rounds to 1, and ±37, past which 1 + e rounds to 1.
+var sigmoidInRange = []float64{
+	0, math.Copysign(0, -1), 708, -708,
+	math.Nextafter(708, 0), math.Nextafter(-708, 0),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	3e-310, -2.5e-309, 1e-300, -1e-17, 37, -37, 0.5, -0.5,
+}
+
+// sigmoidOutOfRange are the inputs that send their block to Sigmoid:
+// the float just past ±708, ±Inf, NaN and inputs past exp's overflow.
+var sigmoidOutOfRange = []float64{
+	math.Nextafter(708, 709), math.Nextafter(-708, -709),
+	math.Inf(1), math.Inf(-1), math.NaN(), 709.8, -745.2, math.MaxFloat64,
+}
+
+// sigmoidOperand draws n sigmoid inputs: mostly normals at scales from
+// 1 to 300, one in eight an in-range edge and one in forty an
+// out-of-range input, so most blocks stay on the kernel.
+func sigmoidOperand(rng *rand.Rand, n int) []float64 {
+	scales := []float64{1, 10, 100, 300}
+	z := make([]float64, n)
+	for i := range z {
+		switch r := rng.Intn(40); {
+		case r == 0:
+			z[i] = sigmoidOutOfRange[rng.Intn(len(sigmoidOutOfRange))]
+		case r < 6:
+			z[i] = sigmoidInRange[rng.Intn(len(sigmoidInRange))]
+		default:
+			z[i] = rng.NormFloat64() * scales[rng.Intn(len(scales))]
+		}
+	}
+	return z
+}
+
+// TestKernelSigmoidMatchesScalar: on both paths and every length 0-67,
+// Sigmoids equals Sigmoid bit for bit, NaN payloads included, on
+// unaligned slices and in place, and writes nothing past dst.
+func TestKernelSigmoidMatchesScalar(t *testing.T) {
+	eachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(25))
+		for n := 0; n <= 67; n++ {
+			for trial := 0; trial < 20; trial++ {
+				z := sigmoidOperand(rng, n)
+				want := make([]float64, n)
+				for i, v := range z {
+					want[i] = Sigmoid(v)
+				}
+				got := unaligned(make([]float64, n))
+				Sigmoids(got, unaligned(z))
+				if i := sameBits(got, want); i >= 0 {
+					t.Fatalf("n=%d: Sigmoids(%v) = %v, Sigmoid %v", n, z[i], got[i], want[i])
+				}
+				if !math.IsNaN(got[:n+1][n]) {
+					t.Fatalf("n=%d: Sigmoids wrote past dst", n)
+				}
+				inPlace := append([]float64(nil), z...)
+				Sigmoids(inPlace, inPlace)
+				if i := sameBits(inPlace, want); i >= 0 {
+					t.Fatalf("n=%d in place: Sigmoids(%v) = %v, Sigmoid %v", n, z[i], inPlace[i], want[i])
+				}
+			}
+		}
+	})
+}
+
+// TestKernelSigmoidEdges pins which blocks the kernel takes itself: a
+// block of in-range edges is set by the kernel and matches Sigmoid,
+// and one out-of-range lane anywhere in a block stops it there.
+func TestKernelSigmoidEdges(t *testing.T) {
+	forceSigmoidFMA(t)
+	for i := 0; i+4 <= len(sigmoidInRange); i += 4 {
+		z := sigmoidInRange[i : i+4]
+		got := make([]float64, 4)
+		if n := sigmoidAVX2FMA(got, z); n != 4 {
+			t.Fatalf("kernel set %d of %v, want 4", n, z)
+		}
+		for k, v := range z {
+			if want := Sigmoid(v); math.Float64bits(got[k]) != math.Float64bits(want) {
+				t.Fatalf("kernel(%v) = %v, Sigmoid %v", v, got[k], want)
+			}
+		}
+	}
+	for _, bad := range sigmoidOutOfRange {
+		for lane := 0; lane < 4; lane++ {
+			z := []float64{1, 2, 3, 4, -1, -2, -3, -4}
+			z[4+lane] = bad
+			if n := sigmoidAVX2FMA(make([]float64, 8), z); n != 4 {
+				t.Fatalf("kernel set %d of %v, want 4", n, z)
+			}
+		}
+	}
+}
+
+// TestKernelSigmoidRandomInputs checks the kernel against Sigmoid on
+// 1<<20 inputs (1<<16 under -short): uniform over [−708, 708], normals
+// at several scales, and uniform over [−40, 40], where every digit of
+// the result counts.
+func TestKernelSigmoidRandomInputs(t *testing.T) {
+	forceSigmoidFMA(t)
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 16
+	}
+	rng := rand.New(rand.NewSource(26))
+	z := make([]float64, n)
+	for i := range z {
+		switch i % 3 {
+		case 0:
+			z[i] = (2*rng.Float64() - 1) * 708
+		case 1:
+			z[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(3)))
+		default:
+			z[i] = (2*rng.Float64() - 1) * 40
+		}
+	}
+	got := make([]float64, n)
+	Sigmoids(got, z)
+	for i, v := range z {
+		if want := Sigmoid(v); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("Sigmoids(%v) = %v, Sigmoid %v", v, got[i], want)
+		}
+	}
+}
+
+// TestKernelSigmoidFollowsMathExp: the kernel is on exactly where
+// math.Exp takes its FMA branch. On an AVX2+FMA CPU it is on by
+// default. A child run of TestKernelSigmoidRandomInputs with
+// GODEBUG=cpu.fma=off, which sends math.Exp down its plain branch,
+// must find the probe failing and the kernel off, or else the kernel
+// and Sigmoid disagree there. (A GOAMD64=v3 build ignores that
+// setting: its math.Exp keeps FMA, and so does the kernel.)
+func TestKernelSigmoidFollowsMathExp(t *testing.T) {
+	if !haveAVX2() || !haveFMA() {
+		t.Skip("CPU lacks AVX2 or FMA")
+	}
+	if strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+		t.Skip("GODEBUG overrides CPU features")
+	}
+	if !haveSigmoidFMA {
+		t.Fatal("sigmoid kernel off on an AVX2+FMA CPU: it disagrees with math.Exp on the probe")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestKernelSigmoidRandomInputs$", "-test.short")
+	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child run with GODEBUG=cpu.fma=off: %v\n%s", err, out)
+	}
+}
+
+// FuzzSigmoid checks the kernel against Sigmoid on arbitrary float64
+// bit patterns: one block of the input and three neighbours, and a
+// tail lane.
+func FuzzSigmoid(f *testing.F) {
+	for _, v := range append(append([]float64(nil), sigmoidInRange...), sigmoidOutOfRange...) {
+		f.Add(math.Float64bits(v))
+	}
+	forceSigmoidFMA(f)
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		z := []float64{v, -v, v / 2, math.Nextafter(v, 0), v * 3}
+		got := make([]float64, len(z))
+		Sigmoids(got, z)
+		for i, zi := range z {
+			if want := Sigmoid(zi); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("Sigmoids(%v) = %v, Sigmoid %v", zi, got[i], want)
+			}
+		}
+	})
+}
+
+// BenchmarkSigmoid sets 1024 sigmoids of normals at scale 5, the range
+// of LogReg's and Platt scaling's linear scores.
+func BenchmarkSigmoid(b *testing.B) {
+	rng := rand.New(rand.NewSource(27))
+	z := make([]float64, 1024)
+	for i := range z {
+		z[i] = 5 * rng.NormFloat64()
+	}
+	dst := make([]float64, len(z))
+	benchPaths(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Sigmoids(dst, z)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(z)), "ns/elem")
 	})
 }

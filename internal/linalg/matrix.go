@@ -98,7 +98,7 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 			if a == 0 {
 				continue
 			}
-			axpy(oi, other.Data[k*other.Cols:(k+1)*other.Cols], a)
+			Axpy(oi, other.Data[k*other.Cols:(k+1)*other.Cols], a)
 		}
 	}
 	return out

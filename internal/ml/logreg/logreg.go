@@ -6,8 +6,8 @@ package logreg
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
+	"transer/internal/linalg"
 	"transer/internal/ml"
 )
 
@@ -38,16 +38,12 @@ func Factory(cfg Config) ml.Factory {
 	return func() ml.Classifier { return New(cfg) }
 }
 
-func sigmoid(z float64) float64 {
-	if z >= 0 {
-		e := math.Exp(-z)
-		return 1 / (1 + e)
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
-}
-
-// Fit trains with gradient descent on the logistic loss.
+// Fit trains with gradient descent on the logistic loss. Each epoch
+// forms every row's score bias + Σ w[j]·x[i][j] in feature order, one
+// Axpy per feature over a column-major copy of x, takes the sigmoids in
+// one linalg.Sigmoids call, and then sums each gradient entry over the
+// rows in row order: the float operations, and so the bits, of a
+// row-at-a-time loop.
 func (l *LogReg) Fit(x [][]float64, y []int) error {
 	dim, err := ml.ValidateTrainingData(x, y)
 	if err != nil {
@@ -56,31 +52,66 @@ func (l *LogReg) Fit(x [][]float64, y []int) error {
 	l.w = make([]float64, dim)
 	l.bias = 0
 	n := len(x)
+	cols := make([]float64, dim*n)
+	for i, row := range x {
+		for j, v := range row {
+			cols[j*n+i] = v
+		}
+	}
+	p := make([]float64, n)
 	grad := make([]float64, dim)
+	inv := 1 / float64(n)
 	for epoch := 0; epoch < epochs; epoch++ {
-		for j := range grad {
-			grad[j] = 0
+		for i := range p {
+			p[i] = l.bias
 		}
+		for j, w := range l.w {
+			linalg.Axpy(p, cols[j*n:(j+1)*n], w)
+		}
+		linalg.Sigmoids(p, p)
 		gradB := 0.0
-		for i, row := range x {
-			z := l.bias
-			for j, v := range row {
-				z += l.w[j] * v
-			}
-			p := sigmoid(z)
-			e := p - float64(y[i])
-			for j, v := range row {
-				grad[j] += e * v
-			}
-			gradB += e
+		for i, yi := range y {
+			p[i] -= float64(yi)
+			gradB += p[i]
 		}
-		inv := 1 / float64(n)
+		columnGradient(grad, cols, p)
 		for j := range l.w {
 			l.w[j] -= learningRate * (grad[j]*inv + l2*l.w[j])
 		}
 		l.bias -= learningRate * gradB * inv
 	}
 	return nil
+}
+
+// columnGradient sets grad[j] = Σ e[i]·cols[j*n+i], summed from i = 0
+// upwards as a row-at-a-time loop sums it, for the column-major cols
+// of n = len(e) rows. Four columns share one pass over e, so four
+// independent sums stay in registers.
+func columnGradient(grad, cols, e []float64) {
+	n := len(e)
+	j := 0
+	for ; j+4 <= len(grad); j += 4 {
+		c0 := cols[j*n : (j+1)*n][:n]
+		c1 := cols[(j+1)*n : (j+2)*n][:n]
+		c2 := cols[(j+2)*n : (j+3)*n][:n]
+		c3 := cols[(j+3)*n : (j+4)*n][:n]
+		var g0, g1, g2, g3 float64
+		for i, ei := range e {
+			g0 += ei * c0[i]
+			g1 += ei * c1[i]
+			g2 += ei * c2[i]
+			g3 += ei * c3[i]
+		}
+		grad[j], grad[j+1], grad[j+2], grad[j+3] = g0, g1, g2, g3
+	}
+	for ; j < len(grad); j++ {
+		c := cols[j*n : (j+1)*n][:n]
+		g := 0.0
+		for i, ei := range e {
+			g += ei * c[i]
+		}
+		grad[j] = g
+	}
 }
 
 // PredictProba returns sigmoid(w·x + b) per row.
@@ -91,8 +122,9 @@ func (l *LogReg) PredictProba(x [][]float64) []float64 {
 		for j, v := range row {
 			z += l.w[j] * v
 		}
-		out[i] = sigmoid(z)
+		out[i] = z
 	}
+	linalg.Sigmoids(out, out)
 	return out
 }
 

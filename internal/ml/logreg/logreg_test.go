@@ -2,6 +2,7 @@ package logreg
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"transer/internal/ml"
@@ -87,4 +88,93 @@ func BenchmarkLogRegFit(b *testing.B) {
 
 func TestLogRegParamsRoundTrip(t *testing.T) {
 	mltest.CheckParamRoundTrip(t, func() ml.ParamClassifier { return New(Config{}) }, 7)
+}
+
+// sigmoidReference, fitReference and predictReference are the scalar
+// sigmoid, Fit and PredictProba as they were before the scores went
+// through linalg's kernels, kept as their oracle. Each product is
+// converted to float64 before it is added, which the Go spec makes
+// round, so the oracle stays unfused even where the compiler would
+// fuse a multiply-add into an FMA.
+func sigmoidReference(z float64) float64 {
+	if z >= 0 {
+		e := math.Exp(-z)
+		return 1 / (1 + e)
+	}
+	e := math.Exp(z)
+	return e / (1 + e)
+}
+
+func fitReference(x [][]float64, y []int) ([]float64, float64) {
+	dim := len(x[0])
+	w := make([]float64, dim)
+	bias := 0.0
+	n := len(x)
+	grad := make([]float64, dim)
+	for epoch := 0; epoch < epochs; epoch++ {
+		for j := range grad {
+			grad[j] = 0
+		}
+		gradB := 0.0
+		for i, row := range x {
+			z := bias
+			for j, v := range row {
+				z += float64(w[j] * v)
+			}
+			p := sigmoidReference(z)
+			e := p - float64(y[i])
+			for j, v := range row {
+				grad[j] += float64(e * v)
+			}
+			gradB += e
+		}
+		inv := 1 / float64(n)
+		for j := range w {
+			w[j] -= learningRate * (float64(grad[j]*inv) + float64(l2*w[j]))
+		}
+		bias -= learningRate * gradB * inv
+	}
+	return w, bias
+}
+
+func predictReference(w []float64, bias float64, x [][]float64) []float64 {
+	out := make([]float64, len(x))
+	for i, row := range x {
+		z := bias
+		for j, v := range row {
+			z += float64(w[j] * v)
+		}
+		out[i] = sigmoidReference(z)
+	}
+	return out
+}
+
+// TestFitBitwiseMatchesOracle: on both kernel paths, Fit learns the
+// reference loop's (w, bias) bit for bit, and PredictProba returns the
+// reference probabilities bit for bit.
+func TestFitBitwiseMatchesOracle(t *testing.T) {
+	mltest.EachKernelPath(t, func(t *testing.T) {
+		for _, set := range mltest.OracleSets() {
+			l := New(Config{})
+			if err := l.Fit(set.X, set.Y); err != nil {
+				t.Fatalf("%s: Fit: %v", set.Name, err)
+			}
+			w, bias := l.Weights()
+			wantW, wantBias := fitReference(set.X, set.Y)
+			for j := range wantW {
+				if math.Float64bits(w[j]) != math.Float64bits(wantW[j]) {
+					t.Fatalf("%s: w[%d] = %v, reference %v", set.Name, j, w[j], wantW[j])
+				}
+			}
+			if math.Float64bits(bias) != math.Float64bits(wantBias) {
+				t.Fatalf("%s: bias = %v, reference %v", set.Name, bias, wantBias)
+			}
+			got, want := l.PredictProba(set.X), predictReference(wantW, wantBias, set.X)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: PredictProba[%d] = %v, reference %v", set.Name, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"transer/internal/linalg"
 	"transer/internal/ml"
 )
 
@@ -60,6 +61,39 @@ func XOR(n int, jitter float64, seed int64) (x [][]float64, y []int) {
 		}
 	}
 	return x, y
+}
+
+// OracleSet is one named training set for a bitwise fit oracle.
+type OracleSet struct {
+	Name string
+	X    [][]float64
+	Y    []int
+}
+
+// OracleSets are the training sets the bitwise fit oracles compare
+// on: blobs and XOR with row counts that leave every tail of a
+// four-wide kernel; small blobs, whose few rows let a one-ulp change
+// in a single score reach Platt scaling's (A, B); and blobs scaled by
+// 500, whose linear scores pass ±708 and so reach the sigmoid kernel's
+// scalar fallback.
+func OracleSets() []OracleSet {
+	blobX, blobY := TwoBlobs(301, 4, 0.12, 1)
+	xorX, xorY := XOR(202, 0.05, 2)
+	smallX, smallY := TwoBlobs(17, 3, 0.4, 0)
+	midX, midY := TwoBlobs(64, 3, 0.2, 0)
+	bigX, bigY := TwoBlobs(259, 7, 0.3, 3)
+	for _, row := range bigX {
+		for j := range row {
+			row[j] *= 500
+		}
+	}
+	return []OracleSet{
+		{"blobs", blobX, blobY},
+		{"xor", xorX, xorY},
+		{"blobs 17", smallX, smallY},
+		{"blobs 64", midX, midY},
+		{"blobs x500", bigX, bigY},
+	}
 }
 
 // CheckParamRoundTrip asserts the ParamClassifier contract for one
@@ -128,4 +162,24 @@ func Accuracy(proba []float64, y []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(proba))
+}
+
+// EachKernelPath runs f once on linalg's Go loops and once on its AVX2
+// kernels, skipping the second where the CPU lacks AVX2, so a fit
+// oracle covers both paths.
+func EachKernelPath(t *testing.T, f func(t *testing.T)) {
+	for _, avx2 := range []bool{false, true} {
+		name := "go"
+		if avx2 {
+			name = "avx2"
+		}
+		t.Run(name, func(t *testing.T) {
+			restore, ok := linalg.UseKernels(avx2)
+			if !ok {
+				t.Skip("CPU lacks AVX2: only the Go kernels run here")
+			}
+			t.Cleanup(restore)
+			f(t)
+		})
+	}
 }

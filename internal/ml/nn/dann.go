@@ -3,6 +3,8 @@ package nn
 import (
 	"errors"
 	"math/rand"
+
+	"transer/internal/linalg"
 )
 
 // DANNConfig holds what varies between domain-adversarial networks;
@@ -65,7 +67,7 @@ func (d *DANN) FitDomains(xSrc [][]float64, ySrc []int, xTgt [][]float64) error 
 	labelStep := func(x []float64, y int) {
 		h := d.encoder.forward(x)
 		out := d.label.forward(h)
-		p := sigmoid(out[0])
+		p := linalg.Sigmoid(out[0])
 		grad := []float64{p - float64(y)}
 		gh := d.label.backwardNoUpdate(grad)
 		d.label.update(grad, learningRate)
@@ -78,7 +80,7 @@ func (d *DANN) FitDomains(xSrc [][]float64, ySrc []int, xTgt [][]float64) error 
 	domainStep := func(x []float64, dom int) {
 		h := d.encoder.forward(x)
 		out := d.domain.forward(h)
-		p := sigmoid(out[0])
+		p := linalg.Sigmoid(out[0])
 		grad := []float64{p - float64(dom)}
 		gh := d.domain.backwardNoUpdate(grad)
 		d.domain.update(grad, learningRate)
@@ -111,7 +113,7 @@ func (d *DANN) PredictProba(x [][]float64) []float64 {
 			continue
 		}
 		h := d.encoder.apply(row)
-		out[i] = sigmoid(d.label.apply(h)[0])
+		out[i] = linalg.Sigmoid(d.label.apply(h)[0])
 	}
 	return out
 }
@@ -126,7 +128,7 @@ func (d *DANN) DomainProba(x [][]float64) []float64 {
 			continue
 		}
 		h := d.encoder.apply(row)
-		out[i] = sigmoid(d.domain.apply(h)[0])
+		out[i] = linalg.Sigmoid(d.domain.apply(h)[0])
 	}
 	return out
 }

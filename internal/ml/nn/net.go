@@ -128,12 +128,3 @@ func (d *dense) update(gradOut []float64, lr float64) {
 		d.b[o] -= lr * g
 	}
 }
-
-func sigmoid(z float64) float64 {
-	if z >= 0 {
-		e := math.Exp(-z)
-		return 1 / (1 + e)
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
-}

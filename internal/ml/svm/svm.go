@@ -7,9 +7,9 @@ package svm
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 
+	"transer/internal/linalg"
 	"transer/internal/ml"
 )
 
@@ -115,7 +115,10 @@ func (s *SVM) Score(x [][]float64) []float64 {
 }
 
 // fitPlatt fits p = sigmoid(a*score + b) by gradient descent on the
-// cross-entropy with the Platt target smoothing.
+// cross-entropy with the Platt target smoothing. Each iteration forms
+// every a*score + b, takes the sigmoids in one linalg.Sigmoids call and
+// then accumulates the gradient in row order: the float operations,
+// and so the bits, of a row-at-a-time loop.
 func (s *SVM) fitPlatt(x [][]float64, y []int) {
 	scores := s.Score(x)
 	n := len(y)
@@ -126,42 +129,41 @@ func (s *SVM) fitPlatt(x [][]float64, y []int) {
 	// Platt's smoothed targets guard against overconfident calibration.
 	tPos := (float64(ones) + 1) / (float64(ones) + 2)
 	tNeg := 1 / (float64(n-ones) + 2)
+	targets := make([]float64, n)
+	for i := range targets {
+		targets[i] = tNeg
+		if y[i] == 1 {
+			targets[i] = tPos
+		}
+	}
+	p := make([]float64, n)
 	a, b := 1.0, 0.0
 	lr := 0.5
+	inv := 1 / float64(n)
 	for it := 0; it < plattIterations; it++ {
+		for i, sc := range scores {
+			p[i] = a*sc + b
+		}
+		linalg.Sigmoids(p, p)
 		ga, gb := 0.0, 0.0
 		for i, sc := range scores {
-			target := tNeg
-			if y[i] == 1 {
-				target = tPos
-			}
-			p := sigmoid(a*sc + b)
-			e := p - target
+			e := p[i] - targets[i]
 			ga += e * sc
 			gb += e
 		}
-		inv := 1 / float64(n)
 		a -= lr * ga * inv
 		b -= lr * gb * inv
 	}
 	s.plattA, s.plattB = a, b
 }
 
-func sigmoid(z float64) float64 {
-	if z >= 0 {
-		e := math.Exp(-z)
-		return 1 / (1 + e)
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
-}
-
 // PredictProba returns the Platt-scaled match probabilities.
 func (s *SVM) PredictProba(x [][]float64) []float64 {
 	scores := s.Score(x)
 	for i, sc := range scores {
-		scores[i] = sigmoid(s.plattA*sc + s.plattB)
+		scores[i] = s.plattA*sc + s.plattB
 	}
+	linalg.Sigmoids(scores, scores)
 	return scores
 }
 

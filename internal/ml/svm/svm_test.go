@@ -2,6 +2,7 @@ package svm
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"transer/internal/ml"
@@ -113,4 +114,82 @@ func BenchmarkSVMFit(b *testing.B) {
 
 func TestSVMParamsRoundTrip(t *testing.T) {
 	mltest.CheckParamRoundTrip(t, func() ml.ParamClassifier { return New(Config{Seed: 3}) }, 7)
+}
+
+// sigmoidReference, plattReference and predictReference are the
+// scalar sigmoid, fitPlatt and PredictProba as they were before the
+// Platt scores went through linalg's kernels, kept as their oracle.
+// Each product is converted to float64 before it is added, which the
+// Go spec makes round, so the oracle stays unfused even where the
+// compiler would fuse a multiply-add into an FMA.
+func sigmoidReference(z float64) float64 {
+	if z >= 0 {
+		e := math.Exp(-z)
+		return 1 / (1 + e)
+	}
+	e := math.Exp(z)
+	return e / (1 + e)
+}
+
+func plattReference(scores []float64, y []int) (float64, float64) {
+	n := len(y)
+	ones := 0
+	for _, v := range y {
+		ones += v
+	}
+	tPos := (float64(ones) + 1) / (float64(ones) + 2)
+	tNeg := 1 / (float64(n-ones) + 2)
+	a, b := 1.0, 0.0
+	lr := 0.5
+	for it := 0; it < plattIterations; it++ {
+		ga, gb := 0.0, 0.0
+		for i, sc := range scores {
+			target := tNeg
+			if y[i] == 1 {
+				target = tPos
+			}
+			p := sigmoidReference(float64(a*sc) + b)
+			e := p - target
+			ga += float64(e * sc)
+			gb += e
+		}
+		inv := 1 / float64(n)
+		a -= lr * ga * inv
+		b -= lr * gb * inv
+	}
+	return a, b
+}
+
+func predictReference(scores []float64, a, b float64) []float64 {
+	out := make([]float64, len(scores))
+	for i, sc := range scores {
+		out[i] = sigmoidReference(float64(a*sc) + b)
+	}
+	return out
+}
+
+// TestPlattBitwiseMatchesOracle: on both kernel paths, Fit's Platt
+// calibration learns the reference loop's (A, B) bit for bit from the
+// trained margin's scores, and PredictProba returns the reference
+// probabilities bit for bit.
+func TestPlattBitwiseMatchesOracle(t *testing.T) {
+	mltest.EachKernelPath(t, func(t *testing.T) {
+		for _, set := range mltest.OracleSets() {
+			s := New(Config{Seed: 5})
+			if err := s.Fit(set.X, set.Y); err != nil {
+				t.Fatalf("%s: Fit: %v", set.Name, err)
+			}
+			scores := s.Score(set.X)
+			a, b := plattReference(scores, set.Y)
+			if math.Float64bits(s.plattA) != math.Float64bits(a) || math.Float64bits(s.plattB) != math.Float64bits(b) {
+				t.Fatalf("%s: Platt (A, B) = (%v, %v), reference (%v, %v)", set.Name, s.plattA, s.plattB, a, b)
+			}
+			got, want := s.PredictProba(set.X), predictReference(scores, a, b)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: PredictProba[%d] = %v, reference %v", set.Name, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }

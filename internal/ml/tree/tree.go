@@ -135,54 +135,70 @@ func (t *Tree) grow(x [][]float64, y []int, idx []int, depth int) *node {
 }
 
 // bestSplit finds the (feature, threshold) pair minimising weighted
-// Gini impurity over candidate features.
+// Gini impurity over candidate features. Per feature it sorts the
+// label-1 and the label-0 values apart and merge-scans the two lists:
+// after each distinct value v, the counts left of the split are the
+// merge positions, and the threshold is the midpoint of v and the next
+// distinct value, as a scan over one sorted (value, label) list finds.
 func (t *Tree) bestSplit(x [][]float64, y []int, idx []int) (feat int, thr float64, ok bool) {
 	features := t.candidateFeatures()
 	bestGini := gini(y, idx) // must strictly improve on the parent
-	type fv struct {
-		v float64
-		y int
-	}
-	vals := make([]fv, 0, len(idx))
+	n := len(idx)
+	ones := make([]float64, 0, n)
+	zeros := make([]float64, 0, n)
 	for _, f := range features {
-		vals = vals[:0]
+		ones, zeros = ones[:0], zeros[:0]
 		for _, i := range idx {
-			vals = append(vals, fv{x[i][f], y[i]})
-		}
-		slices.SortFunc(vals, func(a, b fv) int {
-			switch {
-			case a.v < b.v:
-				return -1
-			case a.v > b.v:
-				return 1
+			if y[i] == 1 {
+				ones = append(ones, x[i][f])
+			} else {
+				zeros = append(zeros, x[i][f])
 			}
-			return 0
-		})
-		totalOnes := 0
-		for _, v := range vals {
-			totalOnes += v.y
 		}
-		n := len(vals)
-		leftOnes := 0
-		for i := 0; i < n-1; i++ {
-			leftOnes += vals[i].y
-			if vals[i].v == vals[i+1].v {
-				continue // can only split between distinct values
+		slices.Sort(ones)
+		slices.Sort(zeros)
+		totalOnes := len(ones)
+		a, b := 0, 0 // label-1 and label-0 values left of the split
+		for a+b < n {
+			// Step past every value not above v: the values equal to v,
+			// or, when v is NaN (slices.Sort puts NaNs first), all of
+			// them, so NaN features end the scan instead of stalling it.
+			v := nextValue(ones, zeros, a, b)
+			for a < len(ones) && !(ones[a] > v) {
+				a++
 			}
-			nl := i + 1
+			for b < len(zeros) && !(zeros[b] > v) {
+				b++
+			}
+			nl := a + b
+			if nl == n {
+				break
+			}
 			nr := n - nl
-			gl := giniCounts(leftOnes, nl)
-			gr := giniCounts(totalOnes-leftOnes, nr)
+			gl := giniCounts(a, nl)
+			gr := giniCounts(totalOnes-a, nr)
 			g := (float64(nl)*gl + float64(nr)*gr) / float64(n)
 			if g < bestGini-1e-12 {
 				bestGini = g
 				feat = f
-				thr = (vals[i].v + vals[i+1].v) / 2
+				thr = (v + nextValue(ones, zeros, a, b)) / 2
 				ok = true
 			}
 		}
 	}
 	return feat, thr, ok
+}
+
+// nextValue is the smaller of ones[a] and zeros[b], skipping a list
+// that is used up; one of them must not be.
+func nextValue(ones, zeros []float64, a, b int) float64 {
+	switch {
+	case a == len(ones):
+		return zeros[b]
+	case b == len(zeros):
+		return ones[a]
+	}
+	return min(ones[a], zeros[b])
 }
 
 func (t *Tree) candidateFeatures() []int {

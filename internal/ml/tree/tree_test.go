@@ -279,3 +279,17 @@ func TestBestSplitMatchesOracle(t *testing.T) {
 		t.Errorf("only %d of 1200 calls found a split; the data no longer exercises the scan", splits)
 	}
 }
+
+// TestBestSplitNaNTerminates: a NaN feature value leaves the split
+// unspecified, but the scan must still end, and a clean feature beside
+// it must still be split.
+func TestBestSplitNaNTerminates(t *testing.T) {
+	x := [][]float64{{math.NaN(), 0.1}, {0.2, 0.2}, {0.3, 0.8}, {math.NaN(), 0.9}, {0.5, 0.1}, {0.6, 0.9}}
+	y := []int{0, 0, 1, 1, 0, 1}
+	tr := New(Config{})
+	tr.dim = 2
+	feat, thr, ok := tr.bestSplit(x, y, []int{0, 1, 2, 3, 4, 5})
+	if !ok || feat != 1 || thr != 0.5 {
+		t.Fatalf("bestSplit = (%d, %v, %v), want (1, 0.5, true)", feat, thr, ok)
+	}
+}
