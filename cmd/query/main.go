@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strconv"
 	"strings"
@@ -162,18 +163,9 @@ func run() error {
 
 	tr := obs.New("query")
 	job.Span, job.Metrics = tr.Root(), tr.Metrics()
-	lw, err := obs.OpenLogOutput(*logOut)
+	logger, closeLog, err := obs.OpenLogger(*logOut, *logLevel, tr)
 	if err != nil {
 		return err
-	}
-	var logger *obs.Logger
-	if lw != nil {
-		lv, err := obs.ParseLevel(*logLevel)
-		if err != nil {
-			return err
-		}
-		logger = obs.NewLogger(lw, lv)
-		logger.Instrument(tr.Metrics())
 	}
 	// One trace per run: every event this run emits correlates to it.
 	runCtx := obs.ContextWithTrace(context.Background(), obs.NewTraceContext())
@@ -184,9 +176,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	logger.Info(runCtx, "query.plan",
-		obs.FStr("scorer", plan.Scorer),
-		obs.FFloat("threshold", job.Threshold))
+	logger.LogAttrs(runCtx, slog.LevelInfo, "query.plan",
+		slog.String("scorer", plan.Scorer),
+		slog.Float64("threshold", job.Threshold))
 
 	out := io.Writer(os.Stdout)
 	if *outPath != "" {
@@ -202,7 +194,7 @@ func run() error {
 		if _, err := io.WriteString(out, plan.Explain()); err != nil {
 			return err
 		}
-		return finish(lw, tr, *metricsOut)
+		return finish(closeLog, tr, *metricsOut)
 	}
 
 	res, err := query.Execute(runCtx, job, plan)
@@ -211,9 +203,9 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "query: %d candidates, %d matches at threshold %v\n",
 		res.Candidates, res.Kept, job.Threshold)
-	logger.Info(runCtx, "query.done",
-		obs.FInt("candidates", int64(res.Candidates)),
-		obs.FInt("matches", int64(res.Kept)))
+	logger.LogAttrs(runCtx, slog.LevelInfo, "query.done",
+		slog.Int("candidates", res.Candidates),
+		slog.Int("matches", res.Kept))
 
 	if *format == "csv" {
 		if err := writeCSV(out, res); err != nil {
@@ -222,19 +214,13 @@ func run() error {
 	} else if err := writeJSON(out, plan, res, job.Threshold); err != nil {
 		return err
 	}
-	return finish(lw, tr, *metricsOut)
+	return finish(closeLog, tr, *metricsOut)
 }
 
-// finish flushes the structured log (spanned so run reports account
-// for it) and writes the run report.
-func finish(lw io.Closer, tr *obs.Tracer, metricsOut string) error {
-	if lw != nil {
-		lsp := tr.Root().Child("log:flush")
-		err := lw.Close()
-		lsp.End()
-		if err != nil {
-			return fmt.Errorf("log close: %w", err)
-		}
+// finish flushes the structured log and writes the run report.
+func finish(closeLog func() error, tr *obs.Tracer, metricsOut string) error {
+	if err := closeLog(); err != nil {
+		return err
 	}
 	return writeReport(metricsOut, tr)
 }

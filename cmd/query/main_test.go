@@ -122,3 +122,13 @@ func TestQueryFlagValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryRejectsUnknownLogLevel checks -log-level is validated even
+// when -log-out leaves structured logging off.
+func TestQueryRejectsUnknownLogLevel(t *testing.T) {
+	bin := testkit.BuildBinary(t, "transer/cmd/query")
+	out := testkit.RunBinaryErr(t, bin, "-dataset", "DBLP-ACM", "-scale", "0.05", "-explain", "-log-level", "bogus")
+	if !strings.Contains(out, `unknown log level "bogus"`) {
+		t.Errorf("want an unknown-level diagnostic, got:\n%s", out)
+	}
+}

@@ -115,18 +115,9 @@ func run() error {
 		queue = -1
 	}
 	tr := obs.New("serve")
-	lw, err := obs.OpenLogOutput(*logOut)
+	logger, closeLog, err := obs.OpenLogger(*logOut, *logLevel, tr)
 	if err != nil {
 		return err
-	}
-	var logger *obs.Logger
-	if lw != nil {
-		lv, err := obs.ParseLevel(*logLevel)
-		if err != nil {
-			return err
-		}
-		logger = obs.NewLogger(lw, lv)
-		logger.Instrument(tr.Metrics())
 	}
 	var store *stream.Store
 	if *streamOn || *streamWAL != "" || *streamSnap != "" {
@@ -218,15 +209,8 @@ func run() error {
 		}
 	}
 
-	if lw != nil {
-		// The flush is spanned so run reports account for log shutdown
-		// cost (benchreport's "log" phase).
-		lsp := tr.Root().Child("log:flush")
-		err := lw.Close()
-		lsp.End()
-		if err != nil {
-			return fmt.Errorf("log close: %w", err)
-		}
+	if err := closeLog(); err != nil {
+		return err
 	}
 
 	if *metricsOut != "" {

@@ -175,18 +175,11 @@ func run() error {
 
 	tr := obs.New("stream")
 	cfg.Metrics = tr.Metrics()
-	lw, err := obs.OpenLogOutput(*logOut)
+	logger, closeLog, err := obs.OpenLogger(*logOut, *logLevel, tr)
 	if err != nil {
 		return err
 	}
-	if lw != nil {
-		lv, err := obs.ParseLevel(*logLevel)
-		if err != nil {
-			return err
-		}
-		cfg.Logger = obs.NewLogger(lw, lv)
-		cfg.Logger.Instrument(tr.Metrics())
-	}
+	cfg.Logger = logger
 
 	st, err := stream.Recover(cfg, *snapPath, *walPath)
 	if err != nil {
@@ -292,13 +285,8 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "stream: %d records -> %d entities (%d merges) at threshold %v\n",
 		doc.Records, doc.Entities, doc.Merges, doc.Threshold)
 
-	if lw != nil {
-		lsp := tr.Root().Child("log:flush")
-		err := lw.Close()
-		lsp.End()
-		if err != nil {
-			return fmt.Errorf("log close: %w", err)
-		}
+	if err := closeLog(); err != nil {
+		return err
 	}
 	if *metricsOut != "" {
 		report := obs.BuildReport("stream", os.Args[1:], tr)

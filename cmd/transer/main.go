@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 
 	transer "transer"
@@ -99,18 +100,9 @@ func run() error {
 	tr := obs.New("transer")
 	parallel.RegisterMetrics(tr.Metrics())
 	defer parallel.RegisterMetrics(nil)
-	lw, err := obs.OpenLogOutput(*logOut)
+	logger, closeLog, err := obs.OpenLogger(*logOut, *logLevel, tr)
 	if err != nil {
 		return err
-	}
-	var logger *obs.Logger
-	if lw != nil {
-		lv, err := obs.ParseLevel(*logLevel)
-		if err != nil {
-			return err
-		}
-		logger = obs.NewLogger(lw, lv)
-		logger.Instrument(tr.Metrics())
 	}
 	// One trace per training run, correlating its phase events.
 	runCtx := obs.ContextWithTrace(context.Background(), obs.NewTraceContext())
@@ -161,11 +153,11 @@ func run() error {
 	st := res.Stats
 	fmt.Fprintf(os.Stderr, "SEL kept %d/%d, GEN confident %d, TCL trained %d\n",
 		st.Selected, st.SourceInstances, st.HighConfidence, st.BalancedTrain)
-	logger.Info(runCtx, "transer.transfer",
-		obs.FInt("sel_kept", int64(st.Selected)),
-		obs.FInt("source_instances", int64(st.SourceInstances)),
-		obs.FInt("gen_confident", int64(st.HighConfidence)),
-		obs.FInt("tcl_trained", int64(st.BalancedTrain)))
+	logger.LogAttrs(runCtx, slog.LevelInfo, "transer.transfer",
+		slog.Int("sel_kept", st.Selected),
+		slog.Int("source_instances", st.SourceInstances),
+		slog.Int("gen_confident", st.HighConfidence),
+		slog.Int("tcl_trained", st.BalancedTrain))
 	if target.Labelled() {
 		m := res.Evaluate(target)
 		fmt.Fprintf(os.Stderr, "evaluation: P=%.2f R=%.2f F*=%.2f F1=%.2f\n",
@@ -195,13 +187,8 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "model: wrote %s\n", *modelOut)
 	}
 
-	if lw != nil {
-		lsp := tr.Root().Child("log:flush")
-		err := lw.Close()
-		lsp.End()
-		if err != nil {
-			return fmt.Errorf("log close: %w", err)
-		}
+	if err := closeLog(); err != nil {
+		return err
 	}
 	if *metricsOut != "" {
 		parallel.PublishStats(tr.Metrics())

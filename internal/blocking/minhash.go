@@ -5,8 +5,8 @@
 // shingle sets have high Jaccard similarity collide in at least one
 // LSH band with high probability and become a candidate pair.
 //
-// A standard attribute-value blocking-key scheme is also provided as a
-// cheap alternative and as a cross-check in tests.
+// Index is the incremental form of the same blocking for streams, and
+// KMV a cardinality sketch over the same token hashing.
 package blocking
 
 import (

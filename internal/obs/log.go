@@ -1,17 +1,19 @@
 package obs
 
-// Structured JSONL event logging. One call emits one self-contained
-// JSON line: timestamp, level, event name, the trace/span IDs carried
-// by the context (when present), then the caller's typed fields in
-// order. Lines are written with a single Write under a mutex, so
-// concurrent events never interleave.
+// Structured JSONL event logging on log/slog. One event is one
+// self-contained JSON line:
 //
-// Like the nil *Tracer, a nil *Logger (and any level-filtered call) is
-// a zero-allocation no-op: fields are typed Attr values built without
-// boxing, and the variadic slice never escapes the disabled fast path,
-// so instrumented hot paths cost nothing when logging is off.
-// BenchmarkLoggerOverhead guards that contract the way
-// BenchmarkTracerOverhead guards the tracer's.
+//	{"ts":"…Z","level":"info","event":"serve.request","trace_id":"…","span_id":"…",<fields>}
+//
+// ts is UTC, level is lower-case, trace_id/span_id come from the trace
+// carried by the context (when present), then the caller's typed
+// fields in order. slog's JSON handler writes each line with a single
+// Write under its mutex, so concurrent events never interleave.
+//
+// A disabled logger (DiscardLogger) or a level-filtered call is a
+// zero-allocation no-op as long as call sites use LogAttrs with typed
+// slog.Attr values; BenchmarkLoggerOverhead guards that contract the
+// way BenchmarkTracerOverhead guards the tracer's.
 //
 // Logging observes; it never participates. Every deterministic output
 // (goldens, streamdiff partitions, serve decisions) is byte-identical
@@ -21,272 +23,150 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"os"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
-	"unicode/utf8"
 )
 
-// Level orders event severities.
-type Level int8
-
-// Levels, least to most severe.
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String returns the level's lower-case name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return "level(" + strconv.Itoa(int(l)) + ")"
+// NewLogger returns a logger writing events at or above level to w as
+// JSONL. A non-nil reg receives log.events_total and log.bytes_total.
+func NewLogger(w io.Writer, level slog.Level, reg *Registry) *slog.Logger {
+	if reg != nil {
+		w = countingWriter{w: w, events: reg.Counter("log.events_total"), bytes: reg.Counter("log.bytes_total")}
 	}
+	h := slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level, ReplaceAttr: lineSchema})
+	return slog.New(traceHandler{h})
 }
 
-// ParseLevel parses a level name (case-insensitive).
-func ParseLevel(s string) (Level, error) {
+// OpenLogger resolves the -log-out and -log-level flags every logging
+// command shares. The level is validated even when logging is off. An
+// empty path yields a discarding logger; "-" or "stderr" log to
+// standard error; anything else creates/truncates that file. The
+// returned close function flushes the output under a "log:flush" span
+// of tr, so run reports account for log shutdown cost.
+func OpenLogger(path, level string, tr *Tracer) (*slog.Logger, func() error, error) {
+	lv, err := parseLevel(level)
+	if err != nil {
+		return nil, nil, err
+	}
+	if path == "" {
+		return DiscardLogger(), func() error { return nil }, nil
+	}
+	var w io.Writer = os.Stderr
+	closeOut := func() error { return nil }
+	if path != "-" && path != "stderr" {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		w, closeOut = f, f.Close
+	}
+	closeLog := func() error {
+		sp := tr.Root().Child("log:flush")
+		err := closeOut()
+		sp.End()
+		if err != nil {
+			return fmt.Errorf("log close: %w", err)
+		}
+		return nil
+	}
+	return NewLogger(w, lv, tr.Metrics()), closeLog, nil
+}
+
+// DiscardLogger returns a logger that is never enabled, so its calls
+// return before building a record.
+func DiscardLogger() *slog.Logger { return discardLogger }
+
+var discardLogger = slog.New(discardHandler{})
+
+// discardHandler drops every event. (slog.DiscardHandler arrives only
+// in Go 1.24; go.mod targets Go 1.22.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
+
+// parseLevel parses a level name (case-insensitive).
+func parseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(s) {
 	case "debug":
-		return LevelDebug, nil
+		return slog.LevelDebug, nil
 	case "info":
-		return LevelInfo, nil
+		return slog.LevelInfo, nil
 	case "warn", "warning":
-		return LevelWarn, nil
+		return slog.LevelWarn, nil
 	case "error":
-		return LevelError, nil
+		return slog.LevelError, nil
 	}
-	return LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error)", s)
+	return slog.LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error)", s)
 }
 
-// Field constructors: typed Attr values for log events (no boxing, so
-// disabled call sites stay allocation-free).
-
-// FInt is an integer log field.
-func FInt(key string, v int64) Attr { return Attr{Key: key, Kind: KindInt, Int: v} }
-
-// FFloat is a float log field.
-func FFloat(key string, v float64) Attr { return Attr{Key: key, Kind: KindFloat, Float: v} }
-
-// FStr is a string log field.
-func FStr(key, v string) Attr { return Attr{Key: key, Kind: KindStr, Str: v} }
-
-// FBool is a boolean log field.
-func FBool(key string, v bool) Attr { return Attr{Key: key, Kind: KindBool, Bool: v} }
-
-// Logger writes leveled JSONL events. All methods are no-ops on a nil
-// receiver; construct with NewLogger.
-type Logger struct {
-	level Level
-
-	mu sync.Mutex
-	w  io.Writer
-
-	// Optional self-instrumentation (see Instrument).
-	events *Counter
-	bytes  *Counter
-}
-
-// NewLogger returns a logger emitting events at or above level to w.
-func NewLogger(w io.Writer, level Level) *Logger {
-	return &Logger{level: level, w: w}
-}
-
-// Instrument mirrors the logger's own activity into reg as
-// log.events_total and log.bytes_total.
-func (l *Logger) Instrument(reg *Registry) {
-	if l == nil {
-		return
-	}
-	l.events = reg.Counter("log.events_total")
-	l.bytes = reg.Counter("log.bytes_total")
-}
-
-// Enabled reports whether events at lv would be written (false for a
-// nil logger).
-func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && lv >= l.level
-}
-
-// Debug emits a debug event.
-func (l *Logger) Debug(ctx context.Context, event string, fields ...Attr) {
-	if l == nil || LevelDebug < l.level {
-		return
-	}
-	l.emit(ctx, LevelDebug, event, fields)
-}
-
-// Info emits an info event.
-func (l *Logger) Info(ctx context.Context, event string, fields ...Attr) {
-	if l == nil || LevelInfo < l.level {
-		return
-	}
-	l.emit(ctx, LevelInfo, event, fields)
-}
-
-// Warn emits a warning event.
-func (l *Logger) Warn(ctx context.Context, event string, fields ...Attr) {
-	if l == nil || LevelWarn < l.level {
-		return
-	}
-	l.emit(ctx, LevelWarn, event, fields)
-}
-
-// Error emits an error event.
-func (l *Logger) Error(ctx context.Context, event string, fields ...Attr) {
-	if l == nil || LevelError < l.level {
-		return
-	}
-	l.emit(ctx, LevelError, event, fields)
-}
-
-// Log emits an event at an explicit level.
-func (l *Logger) Log(ctx context.Context, lv Level, event string, fields ...Attr) {
-	if l == nil || lv < l.level {
-		return
-	}
-	l.emit(ctx, lv, event, fields)
-}
-
-var logBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
-
-// emit assembles one JSON line in a pooled buffer and writes it
-// atomically. fields is only iterated, never retained, so call-site
-// variadic slices stay on the caller's stack.
-func (l *Logger) emit(ctx context.Context, lv Level, event string, fields []Attr) {
-	bp := logBufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-
-	b = append(b, `{"ts":"`...)
-	b = time.Now().UTC().AppendFormat(b, time.RFC3339Nano)
-	b = append(b, `","level":"`...)
-	b = append(b, lv.String()...)
-	b = append(b, `","event":`...)
-	b = appendJSONString(b, event)
-	if ctx != nil {
-		if tc, ok := TraceFromContext(ctx); ok && tc.Valid() {
-			b = append(b, `,"trace_id":"`...)
-			b = appendHex(b, tc.TraceID[:])
-			b = append(b, `","span_id":"`...)
-			b = appendHex(b, tc.SpanID[:])
-			b = append(b, '"')
+// lineSchema renames slog's built-in keys to the event schema (time ->
+// ts in UTC, lower-case level, msg -> event) and renders non-finite
+// floats, which JSON cannot represent, as strings.
+func lineSchema(_ []string, a slog.Attr) slog.Attr {
+	switch a.Value.Kind() {
+	case slog.KindTime:
+		if a.Key == slog.TimeKey {
+			return slog.Time("ts", a.Value.Time().UTC())
+		}
+	case slog.KindAny:
+		if lv, ok := a.Value.Any().(slog.Level); ok && a.Key == slog.LevelKey {
+			return slog.String(slog.LevelKey, strings.ToLower(lv.String()))
+		}
+	case slog.KindString:
+		if a.Key == slog.MessageKey {
+			a.Key = "event"
+		}
+	case slog.KindFloat64:
+		if f := a.Value.Float64(); math.IsNaN(f) || math.IsInf(f, 0) {
+			return slog.String(a.Key, strconv.FormatFloat(f, 'g', -1, 64))
 		}
 	}
-	for _, f := range fields {
-		b = append(b, ',')
-		b = appendJSONString(b, f.Key)
-		b = append(b, ':')
-		switch f.Kind {
-		case KindInt:
-			b = strconv.AppendInt(b, f.Int, 10)
-		case KindFloat:
-			b = appendJSONFloat(b, f.Float)
-		case KindBool:
-			b = strconv.AppendBool(b, f.Bool)
-		default:
-			b = appendJSONString(b, f.Str)
-		}
-	}
-	b = append(b, '}', '\n')
+	return a
+}
 
-	l.mu.Lock()
-	_, err := l.w.Write(b)
-	l.mu.Unlock()
+// traceHandler puts the context's trace_id and span_id ahead of the
+// record's own fields.
+type traceHandler struct{ slog.Handler }
+
+func (h traceHandler) Handle(ctx context.Context, r slog.Record) error {
+	if tc, ok := TraceFromContext(ctx); ok && tc.Valid() {
+		traced := slog.NewRecord(r.Time, r.Level, r.Message, r.PC)
+		traced.AddAttrs(slog.String("trace_id", tc.TraceID.String()), slog.String("span_id", tc.SpanID.String()))
+		r.Attrs(func(a slog.Attr) bool {
+			traced.AddAttrs(a)
+			return true
+		})
+		r = traced
+	}
+	return h.Handler.Handle(ctx, r)
+}
+
+func (h traceHandler) WithAttrs(as []slog.Attr) slog.Handler {
+	return traceHandler{h.Handler.WithAttrs(as)}
+}
+
+func (h traceHandler) WithGroup(name string) slog.Handler {
+	return traceHandler{h.Handler.WithGroup(name)}
+}
+
+// countingWriter mirrors the logger's output into the log.* counters.
+// The JSON handler writes one line per Write.
+type countingWriter struct {
+	w             io.Writer
+	events, bytes *Counter
+}
+
+func (c countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
 	if err == nil {
-		l.events.Add(1)
-		l.bytes.Add(int64(len(b)))
+		c.events.Add(1)
+		c.bytes.Add(int64(n))
 	}
-
-	*bp = b[:0]
-	logBufPool.Put(bp)
+	return n, err
 }
-
-const hexDigits = "0123456789abcdef"
-
-func appendHex(b, raw []byte) []byte {
-	for _, c := range raw {
-		b = append(b, hexDigits[c>>4], hexDigits[c&0xf])
-	}
-	return b
-}
-
-// appendJSONFloat renders a float as a JSON number; non-finite values
-// (not representable in JSON) become strings.
-func appendJSONFloat(b []byte, v float64) []byte {
-	if v != v || v > 1.797693134862315708e308 || v < -1.797693134862315708e308 {
-		b = append(b, '"')
-		b = strconv.AppendFloat(b, v, 'g', -1, 64)
-		return append(b, '"')
-	}
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-// appendJSONString appends s as a quoted JSON string, escaping quotes,
-// backslashes, control characters and invalid UTF-8.
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			switch {
-			case c == '"':
-				b = append(b, '\\', '"')
-			case c == '\\':
-				b = append(b, '\\', '\\')
-			case c == '\n':
-				b = append(b, '\\', 'n')
-			case c == '\r':
-				b = append(b, '\\', 'r')
-			case c == '\t':
-				b = append(b, '\\', 't')
-			case c < 0x20:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-			default:
-				b = append(b, c)
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
-			i++
-			continue
-		}
-		b = append(b, s[i:i+size]...)
-		i += size
-	}
-	return append(b, '"')
-}
-
-// OpenLogOutput resolves a -log-out flag value: "" disables (nil
-// writer), "-" or "stderr" log to standard error (Close is a no-op),
-// anything else creates/truncates that file.
-func OpenLogOutput(path string) (io.WriteCloser, error) {
-	switch path {
-	case "":
-		return nil, nil
-	case "-", "stderr":
-		return nopCloser{os.Stderr}, nil
-	}
-	return os.Create(path)
-}
-
-type nopCloser struct{ io.Writer }
-
-func (nopCloser) Close() error { return nil }

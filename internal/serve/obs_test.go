@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -19,8 +20,7 @@ func obsStreamServer(tb testing.TB, logBuf *bytes.Buffer) (*Server, *stream.Stor
 	tb.Helper()
 	m := trainedMatcher(tb)
 	tr := obs.New("serve-test")
-	logger := obs.NewLogger(logBuf, obs.LevelDebug)
-	logger.Instrument(tr.Metrics())
+	logger := obs.NewLogger(logBuf, slog.LevelDebug, tr.Metrics())
 	cfg := stream.FromMatcher(m)
 	cfg.Metrics = tr.Metrics()
 	cfg.Logger = logger
@@ -347,8 +347,7 @@ func TestResponsesIdenticalWithLoggingOnOff(t *testing.T) {
 		if logged {
 			var sink bytes.Buffer
 			tr := obs.New("serve-test")
-			logger := obs.NewLogger(&sink, obs.LevelDebug)
-			logger.Instrument(tr.Metrics())
+			logger := obs.NewLogger(&sink, slog.LevelDebug, tr.Metrics())
 			cfg.Metrics = tr.Metrics()
 			cfg.Logger = logger
 			scfg.Tracer = tr

@@ -7,6 +7,7 @@ package serve
 
 import (
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strings"
 	"time"
@@ -147,10 +148,10 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		sp.SetInt("members", int64(len(members)))
 		sp.SetStr("selector", selector)
 	}
-	s.logger.Info(r.Context(), "serve.select",
-		obs.FStr("selector", selector),
-		obs.FInt("catalog_size", int64(s.cfg.Catalog.Len())),
-		obs.FInt("members", int64(len(members))))
+	s.logger.LogAttrs(r.Context(), slog.LevelInfo, "serve.select",
+		slog.String("selector", selector),
+		slog.Int("catalog_size", s.cfg.Catalog.Len()),
+		slog.Int("members", len(members)))
 	s.metrics.Counter("serve.select.models_total").Add(int64(len(members)))
 
 	resp := SelectResponse{

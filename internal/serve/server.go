@@ -10,10 +10,13 @@
 //	POST /v1/query         planned similarity join of uploaded record sets
 //	POST /v1/ingest        admit records into the live entity store (with Config.Stream)
 //	POST /v1/resolve       read-only probe against the live entity store (with Config.Stream)
-//	GET  /v1/models        describe the loaded model
+//	GET  /v1/models        describe the loaded model (+ catalog with Config.Catalog)
+//	POST /v1/models/select rank catalogued models for a target domain (with Config.Catalog)
 //	POST /v1/models/reload hot-swap the model from its artifact file
 //	GET  /healthz          liveness probe
 //	GET  /metrics          JSON snapshot of the server's obs registry
+//	GET  /metrics?format=prom  Prometheus text exposition of the same registry
+//	GET  /debug/traces     tail-based trace capture (recent/errors/slowest)
 //
 // Operational behaviour: admission control sheds load beyond a bounded
 // in-flight + queue capacity with 429 and a Retry-After hint;
@@ -30,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -69,10 +73,10 @@ type Config struct {
 	// registry surfaced by /metrics. With a nil tracer the server keeps
 	// a private registry, so /metrics works either way.
 	Tracer *obs.Tracer
-	// Logger, when non-nil, receives one structured JSONL event per
-	// scored request, trace-correlated via the request's traceparent.
-	// A nil logger costs nothing (see obs.Logger).
-	Logger *obs.Logger
+	// Logger receives one structured JSONL event per scored request,
+	// trace-correlated via the request's traceparent (see obs.NewLogger).
+	// Nil discards events at no cost.
+	Logger *slog.Logger
 	// Stream, when non-nil, enables the streaming entity-store
 	// endpoints POST /v1/ingest and POST /v1/resolve against this
 	// store (see internal/stream). Build the store with the same
@@ -116,6 +120,9 @@ func (c Config) withDefaults() Config {
 	if c.SpanSample == 0 {
 		c.SpanSample = 256
 	}
+	if c.Logger == nil {
+		c.Logger = obs.DiscardLogger()
+	}
 	return c
 }
 
@@ -127,7 +134,7 @@ type Server struct {
 	gate    *gate
 	metrics *obs.Registry
 	tracer  *obs.Tracer
-	logger  *obs.Logger
+	logger  *slog.Logger
 	capture *obs.TraceCapture
 	rt      *obs.RuntimeSampler
 	started time.Time
@@ -262,17 +269,17 @@ func (s *Server) finishRequest(ctx context.Context, route string, tc obs.TraceCo
 		Error:   isErr,
 		Span:    obs.SpanTree(sp),
 	})
-	lv := obs.LevelInfo
+	lv := slog.LevelInfo
 	switch {
 	case status >= 500:
-		lv = obs.LevelError
+		lv = slog.LevelError
 	case isErr:
-		lv = obs.LevelWarn
+		lv = slog.LevelWarn
 	}
-	s.logger.Log(ctx, lv, "serve.request",
-		obs.FStr("route", route),
-		obs.FInt("status", int64(status)),
-		obs.FFloat("dur_ms", float64(dur)/float64(time.Millisecond)))
+	s.logger.LogAttrs(ctx, lv, "serve.request",
+		slog.String("route", route),
+		slog.Int("status", status),
+		slog.Float64("dur_ms", float64(dur)/float64(time.Millisecond)))
 }
 
 // scored wraps a scoring handler with admission control, the

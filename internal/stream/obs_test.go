@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func TestIngestDecisionEventsLogged(t *testing.T) {
 	st := mustStore(t, Config{
 		Schema:    twoAttrSchema(),
 		Threshold: 0.8,
-		Logger:    obs.NewLogger(&buf, obs.LevelDebug),
+		Logger:    obs.NewLogger(&buf, slog.LevelDebug, nil),
 	})
 	tc := obs.NewTraceContext()
 	ctx := obs.ContextWithTrace(context.Background(), tc)
@@ -103,7 +104,7 @@ func TestWALReplayDoesNotRelog(t *testing.T) {
 	var liveBuf bytes.Buffer
 	cfg := Config{Schema: twoAttrSchema(), Threshold: 0.8}
 	liveCfg := cfg
-	liveCfg.Logger = obs.NewLogger(&liveBuf, obs.LevelDebug)
+	liveCfg.Logger = obs.NewLogger(&liveBuf, slog.LevelDebug, nil)
 	st := mustStore(t, liveCfg)
 	w, err := OpenWAL(walPath)
 	if err != nil {
@@ -125,7 +126,7 @@ func TestWALReplayDoesNotRelog(t *testing.T) {
 
 	var recBuf bytes.Buffer
 	recCfg := cfg
-	recCfg.Logger = obs.NewLogger(&recBuf, obs.LevelDebug)
+	recCfg.Logger = obs.NewLogger(&recBuf, slog.LevelDebug, nil)
 	rec, err := Recover(recCfg, "", walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +277,7 @@ func TestPartitionIdenticalWithLogging(t *testing.T) {
 	loud := mustStore(t, Config{
 		Schema:    twoAttrSchema(),
 		Threshold: 0.8,
-		Logger:    obs.NewLogger(&buf, obs.LevelDebug),
+		Logger:    obs.NewLogger(&buf, slog.LevelDebug, nil),
 	})
 	for _, st := range []*Store{quiet, loud} {
 		ingest(t, st, "a1", "ada lovelace", "london")

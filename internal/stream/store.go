@@ -48,6 +48,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 
@@ -82,12 +83,12 @@ type Config struct {
 	Workers int
 	// Metrics receives the stream.* counter family; nil disables.
 	Metrics *obs.Registry
-	// Logger, when non-nil, receives one structured decision event per
-	// live ingest ("stream.ingest", keyed by WAL sequence and the trace
-	// carried in ctx) and per resolve probe at debug level. WAL replay
-	// does not re-log. Logging observes decisions already made — it
-	// never feeds back into scoring or clustering.
-	Logger *obs.Logger
+	// Logger receives one structured decision event per live ingest
+	// ("stream.ingest", keyed by WAL sequence and the trace carried in
+	// ctx) and per resolve probe at debug level. WAL replay does not
+	// re-log. Logging observes decisions already made — it
+	// never feeds back into scoring or clustering. Nil discards events.
+	Logger *slog.Logger
 }
 
 // FromMatcher builds the streaming configuration that scores exactly
@@ -182,7 +183,7 @@ type Store struct {
 	threshold float64
 	workers   int
 
-	logger *obs.Logger
+	logger *slog.Logger
 
 	mIngested   *obs.Counter
 	mResolved   *obs.Counter
@@ -232,6 +233,10 @@ func NewStore(cfg Config) (*Store, error) {
 	if lsh.MaxBucketSize == 0 {
 		lsh.MaxBucketSize = -1
 	}
+	logger := cfg.Logger
+	if logger == nil {
+		logger = obs.DiscardLogger()
+	}
 	reg := cfg.Metrics
 	return &Store{
 		schema:      cfg.Schema,
@@ -239,7 +244,7 @@ func NewStore(cfg Config) (*Store, error) {
 		scorer:      scorer,
 		threshold:   cfg.Threshold,
 		workers:     cfg.Workers,
-		logger:      cfg.Logger,
+		logger:      logger,
 		mIngested:   reg.Counter("stream.ingested_total"),
 		mResolved:   reg.Counter("stream.resolved_total"),
 		mCandidates: reg.Counter("stream.candidates_total"),
@@ -431,14 +436,14 @@ func (s *Store) ingestLocked(ctx context.Context, r dataset.Record, logWAL bool)
 	if logWAL {
 		// Live ingest only — WAL replay must not re-log decisions it is
 		// merely reapplying.
-		s.logger.Info(ctx, "stream.ingest",
-			obs.FInt("seq", int64(seq)),
-			obs.FStr("record_id", id),
-			obs.FInt("entity_id", int64(res.EntityID)),
-			obs.FBool("created", res.Created),
-			obs.FInt("candidates", int64(nCands)),
-			obs.FInt("matches", int64(len(matches))),
-			obs.FInt("merges", int64(len(res.Merges))))
+		s.logger.LogAttrs(ctx, slog.LevelInfo, "stream.ingest",
+			slog.Int("seq", seq),
+			slog.String("record_id", id),
+			slog.Int64("entity_id", int64(res.EntityID)),
+			slog.Bool("created", res.Created),
+			slog.Int("candidates", nCands),
+			slog.Int("matches", len(matches)),
+			slog.Int("merges", len(res.Merges)))
 	}
 	return res, nil
 }
@@ -531,12 +536,12 @@ func (s *Store) resolve(ctx context.Context, r dataset.Record, explain bool) (Re
 	s.mResolved.Add(1)
 	s.mCandidates.Add(int64(len(ev.cands)))
 	s.nProbes++
-	s.logger.Debug(ctx, "stream.resolve",
-		obs.FStr("record_id", r.ID),
-		obs.FBool("matched", res.Matched),
-		obs.FInt("entity_id", int64(res.EntityID)),
-		obs.FFloat("score", res.Score),
-		obs.FInt("candidates", int64(res.Candidates)))
+	s.logger.LogAttrs(ctx, slog.LevelDebug, "stream.resolve",
+		slog.String("record_id", r.ID),
+		slog.Bool("matched", res.Matched),
+		slog.Int64("entity_id", int64(res.EntityID)),
+		slog.Float64("score", res.Score),
+		slog.Int("candidates", res.Candidates))
 	return res, exp, nil
 }
 

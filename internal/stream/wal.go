@@ -16,9 +16,6 @@ import (
 	"os"
 )
 
-// WALSchemaVersion identifies the WAL line format.
-const WALSchemaVersion = "transer.stream.wal/v1"
-
 // walEntry is one WAL line: the admitted record and its expected
 // insertion sequence (a replay cross-check).
 type walEntry struct {
