@@ -28,7 +28,7 @@ check: vet test race
 
 # Regenerate the slow full-scale experiments (Table 2/3, Figures 6/7,
 # Table 4) in-process and diff them against the checked-in
-# *_output.txt files. Takes on the order of an hour on a single core.
+# *_output.txt files. Takes about 75 s on a 2-vCPU VM.
 golden:
 	TRANSER_GOLDEN=1 $(GO) test -run TestGoldenFull -timeout 300m -v ./internal/experiments/
 

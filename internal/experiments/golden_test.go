@@ -157,12 +157,13 @@ func TestGoldenTable1(t *testing.T) {
 	checkGolden(t, "table1")
 }
 
-// TestGoldenFull regenerates the experiments that take minutes to
-// hours (table2 alone runs every transfer method over eight tasks at
-// scale 0.5). It only runs when TRANSER_GOLDEN=1 is set, and needs an
-// explicit -timeout well above go test's 10-minute default:
+// TestGoldenFull regenerates the slow full-scale experiments (table2
+// alone runs every transfer method over eight tasks at scale 0.5); all
+// four take about 75 s on a 2-vCPU VM. It only runs when
+// TRANSER_GOLDEN=1 is set, and a slower machine may need a -timeout
+// above go test's 10-minute default:
 //
-//	TRANSER_GOLDEN=1 go test -run TestGoldenFull -timeout 120m ./internal/experiments/
+//	TRANSER_GOLDEN=1 go test -run TestGoldenFull -timeout 30m ./internal/experiments/
 func TestGoldenFull(t *testing.T) {
 	if os.Getenv("TRANSER_GOLDEN") == "" {
 		t.Skip("set TRANSER_GOLDEN=1 to regenerate the slow full-scale experiments")

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -42,9 +43,9 @@ func TestTable2IdenticalWithTracing(t *testing.T) {
 	// As in the worker-count determinism tests, only the quality table
 	// is compared byte for byte: the runtime columns report wall clock,
 	// which no two runs share.
-	quality := func(tr *obs.Tracer) string {
+	quality := func(tr *obs.Tracer, workers int) string {
 		opts := tiny()
-		opts.Workers = 4
+		opts.Workers = workers
 		opts.Obs = tr
 		res, err := Table2(opts)
 		if err != nil {
@@ -54,9 +55,17 @@ func TestTable2IdenticalWithTracing(t *testing.T) {
 		res.QualityTable().Render(&buf)
 		return buf.String()
 	}
-	plain := quality(nil)
+	plain := quality(nil, 4)
 	tr := obs.New("test")
-	firstDiff(t, "table2 quality: tracing off vs on", plain, quality(tr))
+	firstDiff(t, "table2 quality: tracing off vs on", plain, quality(tr, 4))
+	serial := obs.New("test")
+	firstDiff(t, "table2 quality: 4 workers vs 1", plain, quality(serial, 1))
+
+	// Work counters depend on the input alone: each cell's TCA solve
+	// reports the same Jacobi sweeps and rotations at 1 and 4 workers.
+	if got, want := eigenWork(t, serial.Root()), eigenWork(t, tr.Root()); got != want {
+		t.Errorf("TCA eigen work at 1 worker:\n%s\nat 4 workers:\n%s", got, want)
+	}
 
 	// Table2 was called directly (no RunExperiment wrapper), so cell
 	// spans nest under the tracer root. Each holds one prepare span,
@@ -102,18 +111,50 @@ func TestTable2IdenticalWithTracing(t *testing.T) {
 		}
 	}
 	sel := exp.Find("sel")
-	found := false
-	for _, a := range sel.Attrs() {
-		if a.Key == "selected" {
-			found = true
-		}
-	}
-	if !found {
+	if _, ok := attr(sel, "selected"); !ok {
 		t.Errorf("sel span lacks the selected-instances attribute: %v", sel.Attrs())
 	}
 	if exp.Find("fit") == nil || exp.Find("predict") == nil {
 		t.Errorf("classifier fit/predict spans missing")
 	}
+	if r, ok := attr(exp.Find("selector"), "kept_ratio"); !ok || r.Float <= 0 || r.Float > 1 {
+		t.Errorf("LocIT* selector span kept_ratio = %+v, want a share in (0, 1]", r)
+	}
+}
+
+// attr returns the attribute named key of sp.
+func attr(sp *obs.Span, key string) (obs.Attr, bool) {
+	for _, a := range sp.Attrs() {
+		if a.Key == key {
+			return a, true
+		}
+	}
+	return obs.Attr{}, false
+}
+
+// eigenWork lists, cell by cell in name order, the sweeps and rotations
+// on the eigen spans of TCA's cells under exp; every TCA cell must
+// carry both.
+func eigenWork(t *testing.T, exp *obs.Span) string {
+	t.Helper()
+	var lines []string
+	for _, c := range exp.Children() {
+		if !strings.HasSuffix(c.Name(), "/TCA") {
+			continue
+		}
+		eigen := c.Find("eigen")
+		sweeps, ok1 := attr(eigen, "sweeps")
+		rots, ok2 := attr(eigen, "rotations")
+		if !ok1 || !ok2 || sweeps.Int <= 0 || rots.Int <= 0 {
+			t.Fatalf("%s: eigen span attributes %+v, want positive sweeps and rotations", c.Name(), eigen.Attrs())
+		}
+		lines = append(lines, fmt.Sprintf("%s sweeps=%d rotations=%d", c.Name(), sweeps.Int, rots.Int))
+	}
+	if len(lines) == 0 {
+		t.Fatalf("no TCA cells under %s", exp.Name())
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }
 
 // TestEvaluateMethodStageSpans: LocIT*, CORAL and DTAL* record their

@@ -211,13 +211,41 @@ func sameBits(got, want []float64) int {
 	return -1
 }
 
+// nearlyDiagonal is an n×n symmetric matrix with diagonal 1..n that
+// couples row i only to rows j ≡ i (mod 8), by normal draws at scale
+// 1e-3; every other off-diagonal entry is zero or below EigenSym's
+// 1e-15 skip threshold, and rotations within one class keep it there.
+// So EigenSym rotates only q = p+8, p+16, ... and skips the rest.
+func nearlyDiagonal(n int, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, float64(i+1))
+		for j := i + 1; j < n; j++ {
+			var v float64
+			switch {
+			case (j-i)%8 == 0:
+				v = 1e-3 * rng.NormFloat64()
+			case rng.Intn(2) == 0:
+				v = 1e-16 * rng.NormFloat64()
+			}
+			a.Set(i, j, v)
+			a.Set(j, i, v)
+		}
+	}
+	return a
+}
+
 // TestEigenSymBitwiseMatchesReference covers sizes on both sides of
 // the power of two TCA uses, where the padded working stride matters,
-// and the TCA system itself.
+// the TCA system itself, and a nearly diagonal matrix on which most
+// rotations are skipped, so that rows fall behind by uneven, broken
+// runs of rotations.
 func TestEigenSymBitwiseMatchesReference(t *testing.T) {
 	type tc struct {
-		name string
-		a    *Matrix
+		name   string
+		a      *Matrix
+		sparse bool // most rotations are skipped
 	}
 	var cases []tc
 	// Under -short (and so under the race detector) the RBF kernel
@@ -226,17 +254,23 @@ func TestEigenSymBitwiseMatchesReference(t *testing.T) {
 		if n > 64 && testing.Short() {
 			continue
 		}
-		cases = append(cases, tc{fmt.Sprintf("random symmetric %dx%d", n, n), randomSymmetric(n, int64(n))})
+		cases = append(cases, tc{name: fmt.Sprintf("random symmetric %dx%d", n, n), a: randomSymmetric(n, int64(n))})
 	}
-	cases = append(cases, tc{"RBF kernel 256x256", rbfKernel(256, 4, 0.25, 5)})
+	cases = append(cases,
+		tc{name: "RBF kernel 256x256", a: rbfKernel(256, 4, 0.25, 5)},
+		tc{name: "nearly diagonal 64x64", a: nearlyDiagonal(64, 9), sparse: true})
 	if !testing.Short() {
-		cases = append(cases, tc{"TCA system 256x256", tcaSystem(t, 256, 128, 7)})
+		cases = append(cases, tc{name: "TCA system 256x256", a: tcaSystem(t, 256, 128, 7)})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			in := tc.a.Clone()
-			vals, vecs := EigenSym(tc.a)
+			vals, vecs, work := EigenSym(tc.a)
 			wantVals, wantVecs := eigenSymReference(tc.a)
+			n := tc.a.Rows
+			if tc.sparse && 2*work.Rotations > work.Sweeps*n*(n-1)/2 {
+				t.Fatalf("%d rotations in %d sweeps: most should be skipped", work.Rotations, work.Sweeps)
+			}
 			if i := sameBits(tc.a.Data, in.Data); i >= 0 {
 				t.Fatalf("EigenSym modified its input at %d", i)
 			}

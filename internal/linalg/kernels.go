@@ -42,6 +42,30 @@ func rotateRows(rp, rq []float64, c, s float64) {
 	rotateRowsGo(rp, rq, c, s)
 }
 
+// replay brings rows [lo, hi) of EigenSym's working copy d, row stride
+// ld, up to date with rots, rotations of pivot row p: on each row, in
+// order, row[p] ← c·row[p] − s·row[q] and row[q] ← s·row[p] + c·row[q].
+// Every q must be below ld and differ from p; the kernel does not check.
+// Rows go through the AVX2 kernel eight at a time and the Go loops four
+// and one at a time; every row sees the same operations either way.
+func replay(d []float64, ld, p, lo, hi int, rots []rotation) {
+	if len(rots) == 0 {
+		return
+	}
+	r := lo
+	if useAVX2 {
+		for ; r+replayRows <= hi; r += replayRows {
+			replayAVX2(d[r*ld:(r+replayRows)*ld], ld, p, rots)
+		}
+	}
+	for ; r+4 <= hi; r += 4 {
+		replay4Go(d[r*ld:(r+1)*ld], d[(r+1)*ld:(r+2)*ld], d[(r+2)*ld:(r+3)*ld], d[(r+3)*ld:(r+4)*ld], p, rots)
+	}
+	for ; r < hi; r++ {
+		replayGo(d[r*ld:(r+1)*ld], p, rots)
+	}
+}
+
 // Axpy adds a·src to dst element by element (dst[j] += a * src[j]);
 // src must be at least as long as dst. Every lane rounds as that Go
 // statement does.
@@ -68,8 +92,9 @@ func Sigmoid(z float64) float64 {
 // Sigmoids sets dst[i] = Sigmoid(z[i]) for every i, bit for bit; dst
 // must be at least as long as z and may be z itself. The kernel takes
 // four lanes at a time and stops at a block holding a lane with
-// |z| > 708 or NaN, whose exp needs math.Exp's range checks; that
-// block, and the tail, go through Sigmoid.
+// z < −708 or NaN, whose exp needs math.Exp's range checks; that
+// block, and the tail, go through Sigmoid. Lanes with z > 708, +Inf
+// included, stay in the kernel, where Sigmoid is exactly 1.
 func Sigmoids(dst, z []float64) {
 	dst = dst[:len(z)]
 	i := 0
@@ -121,6 +146,30 @@ func rotateRowsGo(rp, rq []float64, c, s float64) {
 		rp[k] = c*x - s*y
 		rq[k] = s*x + c*y
 	}
+}
+
+// replayGo replays rots on one row. Each step waits for the previous
+// one through row[p], so replay4Go interleaves four rows.
+func replayGo(row []float64, p int, rots []rotation) {
+	x := row[p]
+	for _, rot := range rots {
+		y := row[rot.q]
+		row[rot.q] = rot.s*x + rot.c*y
+		x = rot.c*x - rot.s*y
+	}
+	row[p] = x
+}
+
+// replay4Go is replayGo on four rows at once.
+func replay4Go(r0, r1, r2, r3 []float64, p int, rots []rotation) {
+	x0, x1, x2, x3 := r0[p], r1[p], r2[p], r3[p]
+	for _, rot := range rots {
+		q, c, s := rot.q, rot.c, rot.s
+		y0, y1, y2, y3 := r0[q], r1[q], r2[q], r3[q]
+		r0[q], r1[q], r2[q], r3[q] = s*x0+c*y0, s*x1+c*y1, s*x2+c*y2, s*x3+c*y3
+		x0, x1, x2, x3 = c*x0-s*y0, c*x1-s*y1, c*x2-s*y2, c*x3-s*y3
+	}
+	r0[p], r1[p], r2[p], r3[p] = x0, x1, x2, x3
 }
 
 // axpyGo is Axpy on every CPU without AVX2.

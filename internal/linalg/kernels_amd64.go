@@ -3,18 +3,25 @@ package linalg
 // The AVX2 kernels in kernels_amd64.s multiply and then add or
 // subtract in separate instructions (no FMA), with the operands in the
 // order the Go expressions name them, so every lane rounds exactly as
-// rotateRowsGo and axpyGo do. The sigmoid kernel is the exception: it
+// rotateRowsGo, replayGo and axpyGo do. The sigmoid kernel is the exception: it
 // uses FMA exactly where math.Exp's own amd64 assembly does.
 
 //go:noescape
 func rotateRowsAVX2(rp, rq []float64, c, s float64)
+
+// replayAVX2 is replay on the eight rows that start d, row stride ld:
+// each lane of two four-lane registers carries one row's element p
+// through the steps of rots, gathering and scattering element q.
+//
+//go:noescape
+func replayAVX2(d []float64, ld, p int, rots []rotation)
 
 //go:noescape
 func axpyAVX2(dst, src []float64, a float64)
 
 // sigmoidAVX2FMA sets dst[i] = Sigmoid(z[i]) four lanes at a time and
 // returns how many it set: a multiple of four, short of len(z) by the
-// tail or at the first block holding a lane with |z| > 708 or NaN.
+// tail or at the first block holding a lane with z < −708 or NaN.
 //
 //go:noescape
 func sigmoidAVX2FMA(dst, z []float64) int

@@ -12,6 +12,12 @@ func haveFMA() bool { return false }
 
 func rotateRowsAVX2(rp, rq []float64, c, s float64) { rotateRowsGo(rp, rq, c, s) }
 
+func replayAVX2(d []float64, ld, p int, rots []rotation) {
+	for r := 0; r < replayRows; r++ {
+		replayGo(d[r*ld:(r+1)*ld], p, rots)
+	}
+}
+
 func axpyAVX2(dst, src []float64, a float64) { axpyGo(dst, src, a) }
 
 func sigmoidAVX2FMA(dst, z []float64) int { return 0 }

@@ -134,6 +134,49 @@ func TestKernelRotateRowsMatchesGo(t *testing.T) {
 	}
 }
 
+// TestKernelReplayMatchesGo: on both paths and for 1-67 pending
+// rotations, replay equals replayGo row by row, bit for bit, on rows of
+// ±0, ±Inf, NaN and subnormals. The q run consecutively in stretches
+// broken by gaps, so the kernel meets both its transposed four-step
+// blocks and its single steps, and the 13 rows take the kernel's eight,
+// replay4Go's four and replayGo's one. The rows around them, and the
+// columns no rotation names, must come out untouched.
+func TestKernelReplayMatchesGo(t *testing.T) {
+	const rows, lo, cols, ld = 15, 1, 300, 303
+	eachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(26))
+		for k := 1; k <= 67; k++ {
+			for trial := 0; trial < 4; trial++ {
+				p := rng.Intn(cols)
+				rots := make([]rotation, 0, k)
+				for q := rng.Intn(3); len(rots) < k; q++ {
+					if rng.Intn(6) == 0 {
+						q += 1 + rng.Intn(3)
+					}
+					if q == p {
+						continue
+					}
+					cs := kernelScalars[rng.Intn(len(kernelScalars))]
+					if rng.Intn(2) == 0 {
+						theta := rng.Float64() * 2 * math.Pi
+						cs = [2]float64{math.Cos(theta), math.Sin(theta)}
+					}
+					rots = append(rots, rotation{q: q, c: cs[0], s: cs[1]})
+				}
+				d := kernelOperand(rng, rows*ld)
+				want := append([]float64(nil), d...)
+				for r := lo; r < rows-1; r++ {
+					replayGo(want[r*ld:(r+1)*ld], p, rots)
+				}
+				replay(d, ld, p, lo, rows-1, rots)
+				if i := sameKernelBits(d, want); i >= 0 {
+					t.Fatalf("%d rotations, p=%d: d[%d][%d] = %v, Go %v", k, p, i/ld, i%ld, d[i], want[i])
+				}
+			}
+		}
+	})
+}
+
 // TestKernelAxpyMatchesGo is TestKernelRotateRowsMatchesGo for axpy,
 // with a source longer than the destination as Mul never passes but
 // the contract allows.
@@ -223,32 +266,38 @@ func TestKernelMulMatchesReference(t *testing.T) {
 	})
 }
 
-// TestKernelEigenSymPathsAgree solves the TCA system once with the Go
-// kernels forced and once with the AVX2 kernels; eigenvalues and
+// TestKernelEigenSymPathsAgree solves the TCA system, and a nearly
+// diagonal matrix on which most rotations are skipped, once with the
+// Go kernels forced and once with the AVX2 kernels; eigenvalues and
 // eigenvectors must agree bit for bit. Under -short (and so under the
-// race detector) the system has 64 landmarks instead of 256.
+// race detector) the TCA system has 64 landmarks instead of 256.
 func TestKernelEigenSymPathsAgree(t *testing.T) {
 	n := 256
 	if testing.Short() {
 		n = 64
 	}
-	a := tcaSystem(t, n, n/2, 7)
-	var vals [2][]float64
-	var vecs [2]*Matrix
+	systems := []*Matrix{tcaSystem(t, n, n/2, 7), nearlyDiagonal(64, 9)}
+	var vals [2][][]float64
+	var vecs [2][]*Matrix
 	for i, p := range kernelPaths {
 		t.Run(p.name, func(t *testing.T) {
 			forceAVX2(t, p.avx2)
-			vals[i], vecs[i] = EigenSym(a)
+			for _, a := range systems {
+				v, w, _ := EigenSym(a)
+				vals[i], vecs[i] = append(vals[i], v), append(vecs[i], w)
+			}
 		})
 	}
 	if vecs[1] == nil {
 		return // no AVX2: nothing to compare
 	}
-	if i := sameBits(vals[1], vals[0]); i >= 0 {
-		t.Fatalf("eigenvalue %d = %v on AVX2, %v on Go", i, vals[1][i], vals[0][i])
-	}
-	if i := sameBits(vecs[1].Data, vecs[0].Data); i >= 0 {
-		t.Fatalf("eigenvector entry %d = %v on AVX2, %v on Go", i, vecs[1].Data[i], vecs[0].Data[i])
+	for k := range systems {
+		if i := sameBits(vals[1][k], vals[0][k]); i >= 0 {
+			t.Fatalf("system %d: eigenvalue %d = %v on AVX2, %v on Go", k, i, vals[1][k][i], vals[0][k][i])
+		}
+		if i := sameBits(vecs[1][k].Data, vecs[0][k].Data); i >= 0 {
+			t.Fatalf("system %d: eigenvector entry %d = %v on AVX2, %v on Go", k, i, vecs[1][k].Data[i], vecs[0][k].Data[i])
+		}
 	}
 }
 
@@ -294,19 +343,22 @@ func BenchmarkRotateRows256(b *testing.B) {
 
 // sigmoidInRange are the edge inputs the kernel takes itself: signed
 // zeros, ±708 and the float just inside it, subnormals and other tiny
-// inputs whose exp rounds to 1, and ±37, past which 1 + e rounds to 1.
+// inputs whose exp rounds to 1, ±37, past which 1 + e rounds to 1, and
+// z > 708 up to +Inf, where Sigmoid is exactly 1. Taken four at a time
+// the last blocks mix those with ordinary lanes.
 var sigmoidInRange = []float64{
 	0, math.Copysign(0, -1), 708, -708,
 	math.Nextafter(708, 0), math.Nextafter(-708, 0),
 	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 	3e-310, -2.5e-309, 1e-300, -1e-17, 37, -37, 0.5, -0.5,
+	math.Nextafter(708, 709), 1.5, 1e300, -2,
+	math.Inf(1), 709.8, -0.25, math.MaxFloat64,
 }
 
 // sigmoidOutOfRange are the inputs that send their block to Sigmoid:
-// the float just past ±708, ±Inf, NaN and inputs past exp's overflow.
+// the float just below −708, −Inf, NaN and inputs past exp's underflow.
 var sigmoidOutOfRange = []float64{
-	math.Nextafter(708, 709), math.Nextafter(-708, -709),
-	math.Inf(1), math.Inf(-1), math.NaN(), 709.8, -745.2, math.MaxFloat64,
+	math.Nextafter(-708, -709), math.Inf(-1), math.NaN(), -745.2, -math.MaxFloat64,
 }
 
 // sigmoidOperand draws n sigmoid inputs: mostly normals at scales from

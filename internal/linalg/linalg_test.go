@@ -130,7 +130,11 @@ func TestLUSolve(t *testing.T) {
 func TestEigenSymKnown(t *testing.T) {
 	// Eigenvalues of [[2,1],[1,2]] are 3 and 1.
 	a := FromRows([][]float64{{2, 1}, {1, 2}})
-	vals, vecs := EigenSym(a)
+	vals, vecs, work := EigenSym(a)
+	// One rotation zeroes the only off-diagonal pair.
+	if work != (EigenWork{Sweeps: 1, Rotations: 1}) {
+		t.Errorf("work = %+v, want one sweep of one rotation", work)
+	}
 	if !approxEq(vals[0], 3, 1e-9) || !approxEq(vals[1], 1, 1e-9) {
 		t.Errorf("eigenvalues = %v, want [3 1]", vals)
 	}
@@ -142,7 +146,7 @@ func TestEigenSymKnown(t *testing.T) {
 }
 
 func TestEigenSymEmpty(t *testing.T) {
-	vals, vecs := EigenSym(NewMatrix(0, 0))
+	vals, vecs, _ := EigenSym(NewMatrix(0, 0))
 	if len(vals) != 0 || vecs.Rows != 0 {
 		t.Errorf("empty matrix should yield empty eigensystem")
 	}
@@ -160,7 +164,7 @@ func TestEigenReconstructionProperty(t *testing.T) {
 				a.Set(j, i, v)
 			}
 		}
-		vals, q := EigenSym(a)
+		vals, q, _ := EigenSym(a)
 		// Reconstruct A = Q diag Qt.
 		d := NewMatrix(n, n)
 		for i, v := range vals {
@@ -215,7 +219,7 @@ func TestSymPowClampsTinyEigenvalues(t *testing.T) {
 
 func TestTopEigenvectors(t *testing.T) {
 	a := FromRows([][]float64{{5, 0, 0}, {0, 3, 0}, {0, 0, 1}})
-	vals, vecs := TopEigenvectors(a, 2)
+	vals, vecs, _ := TopEigenvectors(a, 2)
 	if len(vals) != 2 || vals[0] != 5 || vals[1] != 3 {
 		t.Errorf("top eigenvalues = %v", vals)
 	}
@@ -223,7 +227,7 @@ func TestTopEigenvectors(t *testing.T) {
 		t.Errorf("vector shape = %dx%d", vecs.Rows, vecs.Cols)
 	}
 	// Requesting more than n clamps.
-	vals, _ = TopEigenvectors(a, 10)
+	vals, _, _ = TopEigenvectors(a, 10)
 	if len(vals) != 3 {
 		t.Errorf("clamped eigenvalue count = %d", len(vals))
 	}
@@ -277,7 +281,7 @@ func TestPropertyCovariancePSD(t *testing.T) {
 			m.Data[i] = rng.NormFloat64()
 		}
 		cov := Covariance(m, 0)
-		vals, _ := EigenSym(cov)
+		vals, _, _ := EigenSym(cov)
 		for _, v := range vals {
 			if v < -1e-8 {
 				return false

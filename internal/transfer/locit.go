@@ -25,10 +25,14 @@ import (
 // the neighbourhood covariances — LocIT's features. A source instance
 // is transferred when the classifier accepts (x_s, kNN_target(x_s)).
 //
-// As in the paper, the method's anomaly-detection assumptions (distant
-// instances are never transferable) make it collapse on ER data —
-// sometimes selecting nothing, which yields the all-non-match 0.00
-// rows of Table 2.
+// The paper reports LocIT collapsing on ER data, because its
+// anomaly-detection assumptions (distant instances are never
+// transferable) select nothing. Here the selector accepts essentially
+// every source instance on every builtin task: at scale 0.5 LocIT*
+// matches Naive on every Table 2 row but MB -> MSD, and there by at
+// most 0.1 points (EXPERIMENTS.md). The selector span's kept_ratio
+// records the accepted share of source rows. An empty or single-class
+// selection still yields the all-non-match outcome.
 type LocIT struct {
 	// MaxTrainPoints bounds the pair-generation work; 0 means 400.
 	MaxTrainPoints int
@@ -86,7 +90,8 @@ func cov(points [][]float64, nbr []kdtree.Neighbour, centre []float64) []float64
 // Prepare implements Method: the selector SVM and the source rows it
 // transfers, in stage spans neighbours (the target index and the
 // selector's training pairs) and selector (its fit and the scoring of
-// every source row) under sp.
+// every source row, with the kept share of source rows as kept_ratio)
+// under sp.
 func (c LocIT) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -157,6 +162,7 @@ func (c LocIT) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 			selY = append(selY, t.YS[i])
 		}
 	}
+	stage.SetFloat("kept_ratio", float64(len(selX))/float64(len(t.XS)))
 	if len(selX) == 0 || allSameInt(selY) {
 		// Selection collapsed — the degenerate 0.00 outcome.
 		return allZero(len(t.XT)), nil

@@ -42,7 +42,8 @@ func (TCA) Name() string { return "TCA" }
 
 // Prepare implements Method: landmarks and their kernel, the eigen
 // solve, and the projection of the source and target rows, in stage
-// spans kernel, eigen and project under sp.
+// spans kernel, eigen and project under sp. The eigen span carries the
+// solve's Jacobi sweeps and rotations.
 func (c TCA) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -140,7 +141,9 @@ func (c TCA) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 		return nil, fmt.Errorf("tca: second solve failed: %w", err)
 	}
 	symmetrise(cMat)
-	_, u := linalg.TopEigenvectors(cMat, comp)
+	_, u, work := linalg.TopEigenvectors(cMat, comp)
+	stage.SetInt("sweeps", int64(work.Sweeps))
+	stage.SetInt("rotations", int64(work.Rotations))
 	// W = R⁻ᵀ U — back substitution with Rᵀ (upper triangular).
 	w, err := linalg.BackSolveMatrix(r.T(), u)
 	if err != nil {
