@@ -91,10 +91,12 @@ func Sigmoid(z float64) float64 {
 
 // Sigmoids sets dst[i] = Sigmoid(z[i]) for every i, bit for bit; dst
 // must be at least as long as z and may be z itself. The kernel takes
-// four lanes at a time and stops at a block holding a lane with
-// z < −708 or NaN, whose exp needs math.Exp's range checks; that
+// four lanes at a time and stops at a block holding a NaN lane or a
+// lane below −708 whose exp takes math.Exp's denormal path; that
 // block, and the tail, go through Sigmoid. Lanes with z > 708, +Inf
-// included, stay in the kernel, where Sigmoid is exactly 1.
+// included, stay in the kernel, where Sigmoid is exactly 1, and so do
+// lanes past math.Exp's underflow cutoff (z·log2e ≤ −1075.5), −Inf
+// included, where it is exactly +0.
 func Sigmoids(dst, z []float64) {
 	dst = dst[:len(z)]
 	i := 0

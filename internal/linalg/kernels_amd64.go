@@ -21,7 +21,9 @@ func axpyAVX2(dst, src []float64, a float64)
 
 // sigmoidAVX2FMA sets dst[i] = Sigmoid(z[i]) four lanes at a time and
 // returns how many it set: a multiple of four, short of len(z) by the
-// tail or at the first block holding a lane with z < −708 or NaN.
+// tail or at the first block holding a NaN lane or a lane whose exp
+// takes math.Exp's denormal path (below −708, above the underflow
+// cutoff).
 //
 //go:noescape
 func sigmoidAVX2FMA(dst, z []float64) int

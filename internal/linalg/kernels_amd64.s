@@ -308,7 +308,7 @@ axpydone:
 // coefficients are those of $GOROOT/src/math/exp_amd64.s, the
 // assembly behind math.Exp on amd64.
 DATA sigmoidconst<>+0(SB)/8, $0x8000000000000000  // sign bit
-DATA sigmoidconst<>+8(SB)/8, $708.0               // the kernel takes z ≥ −708 and clamps z at 708
+DATA sigmoidconst<>+8(SB)/8, $708.0               // the kernel computes z ≥ −708 and clamps z at 708
 DATA sigmoidconst<>+16(SB)/8, $1.4426950408889634073599246810018920  // LOG2E
 DATA sigmoidconst<>+24(SB)/8, $0.69314718055966295651160180568695068359375  // LN2U
 DATA sigmoidconst<>+32(SB)/8, $0.28235290563031577122588448175013436025525412068e-12  // LN2L
@@ -323,7 +323,8 @@ DATA sigmoidconst<>+96(SB)/8, $8.3333333333333333333e-3
 DATA sigmoidconst<>+104(SB)/8, $4.1666666666666666667e-2
 DATA sigmoidconst<>+112(SB)/8, $1.6666666666666666667e-1
 DATA sigmoidconst<>+120(SB)/8, $0.5
-GLOBL sigmoidconst<>(SB), RODATA|NOPTR, $128
+DATA sigmoidconst<>+128(SB)/8, $-1075.5            // x·LOG2E at or below it rounds to k ≤ −1076: exp underflows to +0
+GLOBL sigmoidconst<>(SB), RODATA|NOPTR, $136
 
 // func sigmoidAVX2FMA(dst, z []float64) int
 //
@@ -332,12 +333,16 @@ GLOBL sigmoidconst<>(SB), RODATA|NOPTR, $128
 // instruction: k = round(x·LOG2E) by VCVTPD2DQ, r = x − k·LN2U − k·LN2L
 // by two fused steps, r/16, the fused Taylor polynomial, four
 // r ← r·(r+2) steps (the last fused with +1) and the scaling by 2^k.
-// |z| ≤ 708 keeps k + 1023 ≥ 2, so math.Exp's overflow, denormal and
+// x ≥ −708 keeps k + 1023 ≥ 2, so math.Exp's overflow, denormal and
 // non-finite paths never apply. The lane then returns 1/(1+e) for
 // z ≥ 0 and e/(1+e) otherwise, as Sigmoid does. A lane with z > 708,
 // +Inf included, takes x = −708 instead: its e is then below 2^−53, as
-// Sigmoid's is, so 1 + e rounds to 1 and both return exactly 1. A
-// block holding a lane with z < −708 or NaN stops the kernel.
+// Sigmoid's is, so 1 + e rounds to 1 and both return exactly 1. A lane
+// with x·LOG2E ≤ −1075.5, −Inf included, has k ≤ −1076, so k + 1023 <
+// −52 and math.Exp takes its underflow path and returns +0 (x = −Inf
+// returns +0 too), as does Sigmoid: the lane is set to +0. A block
+// holding a NaN lane, or a lane between that cutoff and −708, whose
+// exp takes math.Exp's denormal path, stops the kernel.
 TEXT ·sigmoidAVX2FMA(SB), NOSPLIT, $0-56
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         z_base+24(FP), SI
@@ -359,16 +364,19 @@ sig4:
 	CMPQ         AX, CX
 	JGE          sigdone
 	VMOVUPD      (SI)(AX*8), Y0       // z
-	VXORPD       Y15, Y0, Y2          // −z
-	VCMPPD       $0x02, Y14, Y2, Y1   // −z ≤ 708, false for NaN
-	VMOVMSKPD    Y1, BX
-	CMPQ         BX, $15
-	JNE          sigdone
 	VCMPPD       $0x1D, Y6, Y0, Y1    // z ≥ 0
 	VMINPD       Y14, Y0, Y2          // min(z, 708)
 	VXORPD       Y15, Y2, Y2
-	VBLENDVPD    Y1, Y2, Y0, Y2       // x = z ≥ 0 ? −min(z, 708) : z
+	VBLENDVPD    Y1, Y2, Y0, Y2       // x = z ≥ 0 ? −min(z, 708) : z; NaN stays
 	VMULPD       Y13, Y2, Y3          // x·LOG2E
+	VBROADCASTSD sigmoidconst<>+128(SB), Y4
+	VCMPPD       $0x02, Y4, Y3, Y0    // x·LOG2E ≤ −1075.5: e is +0, false for NaN
+	VXORPD       Y15, Y2, Y4          // −x
+	VCMPPD       $0x02, Y14, Y4, Y4   // −x ≤ 708, false for NaN
+	VORPD        Y0, Y4, Y4
+	VMOVMSKPD    Y4, BX
+	CMPQ         BX, $15
+	JNE          sigdone
 	VCVTPD2DQY   Y3, X3               // k, rounded to nearest
 	VCVTDQ2PD    X3, Y4
 	VFNMADD231PD Y12, Y4, Y2          // r = x − k·LN2U
@@ -404,6 +412,7 @@ sig4:
 	VADDPD       Y2, Y9, Y3           // 1 + e
 	VBLENDVPD    Y1, Y9, Y2, Y4       // z ≥ 0 ? 1 : e
 	VDIVPD       Y3, Y4, Y4
+	VANDNPD      Y4, Y0, Y4           // +0 where e underflows
 	VMOVUPD      Y4, (DI)(AX*8)
 	ADDQ         $4, AX
 	JMP          sig4

@@ -341,11 +341,26 @@ func BenchmarkRotateRows256(b *testing.B) {
 	})
 }
 
+// sigmoidUnderflow is the largest z with z·log2e ≤ −1075.5, the
+// cutoff of math.Exp's underflow path on amd64: there k =
+// round(z·log2e) ≤ −1076, so k + 1023 < −52 and exp returns +0.
+var sigmoidUnderflow = func() float64 {
+	z := -1075.5 / math.Log2E
+	for z*math.Log2E > -1075.5 {
+		z = math.Nextafter(z, math.Inf(-1))
+	}
+	for math.Nextafter(z, 0)*math.Log2E <= -1075.5 {
+		z = math.Nextafter(z, 0)
+	}
+	return z
+}()
+
 // sigmoidInRange are the edge inputs the kernel takes itself: signed
 // zeros, ±708 and the float just inside it, subnormals and other tiny
-// inputs whose exp rounds to 1, ±37, past which 1 + e rounds to 1, and
-// z > 708 up to +Inf, where Sigmoid is exactly 1. Taken four at a time
-// the last blocks mix those with ordinary lanes.
+// inputs whose exp rounds to 1, ±37, past which 1 + e rounds to 1,
+// z > 708 up to +Inf, where Sigmoid is exactly 1, and z from the
+// underflow cutoff down to −Inf, where it is exactly +0. Taken four at
+// a time the last blocks mix those with ordinary lanes.
 var sigmoidInRange = []float64{
 	0, math.Copysign(0, -1), 708, -708,
 	math.Nextafter(708, 0), math.Nextafter(-708, 0),
@@ -353,12 +368,15 @@ var sigmoidInRange = []float64{
 	3e-310, -2.5e-309, 1e-300, -1e-17, 37, -37, 0.5, -0.5,
 	math.Nextafter(708, 709), 1.5, 1e300, -2,
 	math.Inf(1), 709.8, -0.25, math.MaxFloat64,
+	sigmoidUnderflow, math.Nextafter(sigmoidUnderflow, -1000), -746, 3,
+	-1e300, -0.75, math.Inf(-1), -math.MaxFloat64,
 }
 
 // sigmoidOutOfRange are the inputs that send their block to Sigmoid:
-// the float just below −708, −Inf, NaN and inputs past exp's underflow.
+// NaN, and the floats below −708 down to the float just above the
+// underflow cutoff, whose exp takes math.Exp's denormal path.
 var sigmoidOutOfRange = []float64{
-	math.Nextafter(-708, -709), math.Inf(-1), math.NaN(), -745.2, -math.MaxFloat64,
+	math.Nextafter(-708, -709), math.NaN(), -745.2, math.Nextafter(sigmoidUnderflow, 0),
 }
 
 // sigmoidOperand draws n sigmoid inputs: mostly normals at scales from
@@ -413,8 +431,16 @@ func TestKernelSigmoidMatchesScalar(t *testing.T) {
 
 // TestKernelSigmoidEdges pins which blocks the kernel takes itself: a
 // block of in-range edges is set by the kernel and matches Sigmoid,
-// and one out-of-range lane anywhere in a block stops it there.
+// and one out-of-range lane anywhere in a block stops it there. It
+// also checks the cutoff against math.Exp: +0 at the cutoff, and a
+// denormal at −745.1, in the range left to Sigmoid.
 func TestKernelSigmoidEdges(t *testing.T) {
+	if e := math.Exp(sigmoidUnderflow); e != 0 || math.Signbit(e) {
+		t.Fatalf("math.Exp(%v) = %v at the underflow cutoff, want +0", sigmoidUnderflow, e)
+	}
+	if e := math.Exp(-745.1); e == 0 {
+		t.Fatalf("math.Exp(-745.1) = 0, want a denormal")
+	}
 	forceSigmoidFMA(t)
 	for i := 0; i+4 <= len(sigmoidInRange); i += 4 {
 		z := sigmoidInRange[i : i+4]

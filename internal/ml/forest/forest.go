@@ -39,7 +39,9 @@ func Factory(cfg Config) ml.Factory {
 	return func() ml.Classifier { return New(cfg) }
 }
 
-// Fit trains the ensemble on bootstrap samples of (x, y).
+// Fit trains the ensemble on bootstrap samples of (x, y). Every tree
+// reads one tree.Encoding of x, built here, so concurrent fits share
+// nothing.
 func (f *Forest) Fit(x [][]float64, y []int) error {
 	dim, err := ml.ValidateTrainingData(x, y)
 	if err != nil {
@@ -51,14 +53,15 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 	}
 	rng := rand.New(rand.NewSource(f.cfg.Seed))
 	n := len(x)
+	enc := tree.Encode(x)
+	idx := make([]int, n)
 	f.trees = make([]*tree.Tree, 0, numTrees)
 	for t := 0; t < numTrees; t++ {
-		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = rng.Intn(n)
 		}
 		tr := tree.New(tree.Config{MaxFeatures: maxFeat, Seed: rng.Int63()})
-		if err := tr.FitBootstrap(x, y, idx); err != nil {
+		if err := tr.FitBootstrap(enc, y, idx); err != nil {
 			return err
 		}
 		f.trees = append(f.trees, tr)

@@ -1,11 +1,16 @@
 package forest
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 
 	"transer/internal/ml"
 	"transer/internal/ml/mltest"
+	"transer/internal/ml/tree"
 )
 
 func TestForestSeparable(t *testing.T) {
@@ -81,14 +86,95 @@ func TestForestProbabilityAveraging(t *testing.T) {
 	}
 }
 
-func BenchmarkForestFit(b *testing.B) {
-	x, y := mltest.TwoBlobs(500, 8, 0.15, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := New(Config{Seed: int64(i)})
+// TestForestMatchesOracle: trees that share one tree.Encoding and one
+// bootstrap buffer export the same Params, byte for byte, as trees each
+// fitted on an Encoding and a bag of their own, drawn from the same
+// seed stream, so no tree's fit leaves state behind for the next.
+func TestForestMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		x, y := benchData(60+40*int(seed), 3*int(seed), seed%2 == 0, seed)
+		f := New(Config{Seed: seed})
 		if err := f.Fit(x, y); err != nil {
-			b.Fatal(err)
+			t.Fatalf("seed %d: Fit: %v", seed, err)
 		}
+		got, err := f.Params()
+		if err != nil {
+			t.Fatalf("seed %d: Params: %v", seed, err)
+		}
+		maxFeat := max(1, int(math.Round(math.Sqrt(float64(len(x[0]))))))
+		rng := rand.New(rand.NewSource(seed))
+		var want Params
+		for k := 0; k < numTrees; k++ {
+			idx := make([]int, len(x))
+			for i := range idx {
+				idx[i] = rng.Intn(len(x))
+			}
+			tr := tree.New(tree.Config{MaxFeatures: maxFeat, Seed: rng.Int63()})
+			if err := tr.FitBootstrap(tree.Encode(x), y, idx); err != nil {
+				t.Fatalf("seed %d tree %d: FitBootstrap: %v", seed, k, err)
+			}
+			b, err := tr.Params()
+			if err != nil {
+				t.Fatalf("seed %d tree %d: Params: %v", seed, k, err)
+			}
+			want.Trees = append(want.Trees, b)
+		}
+		wantB, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantB) {
+			t.Fatalf("seed %d: forest Params differ from trees fitted apart", seed)
+		}
+	}
+}
+
+// benchData draws n rows of dim features whose labels follow the mean
+// of the first three features plus noise, so trees grow deep as they do
+// on record pairs. grid puts every value on the 0.05 grid of the compare
+// features; otherwise values are continuous, like DR's embeddings.
+func benchData(n, dim int, grid bool, seed int64) ([][]float64, []int) {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([][]float64, n)
+	y := make([]int, n)
+	for i := range x {
+		x[i] = make([]float64, dim)
+		for f := range x[i] {
+			if grid {
+				x[i][f] = float64(rng.Intn(21)) * 0.05
+			} else {
+				x[i][f] = rng.NormFloat64()
+			}
+		}
+		if (x[i][0]+x[i][1]+x[i][2])/3+0.3*rng.NormFloat64() > 0.5 {
+			y[i] = 1
+		}
+	}
+	return x, y
+}
+
+// BenchmarkForestFit fits forests of the two shapes the Table 2 grid
+// fits at scale 0.05: the similarity-vector compare features and DR's
+// embedding features.
+func BenchmarkForestFit(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		n, dim int
+		grid   bool
+	}{
+		{"compare_365x11", 365, 11, true},
+		{"embed_433x99", 433, 99, false},
+	} {
+		x, y := benchData(c.n, c.dim, c.grid, 7)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f := New(Config{Seed: int64(i)})
+				if err := f.Fit(x, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

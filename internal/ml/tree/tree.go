@@ -62,147 +62,186 @@ func Factory(cfg Config) ml.Factory {
 
 // Fit grows the tree on x, y.
 func (t *Tree) Fit(x [][]float64, y []int) error {
-	dim, err := ml.ValidateTrainingData(x, y)
-	if err != nil {
+	if _, err := ml.ValidateTrainingData(x, y); err != nil {
 		return err
 	}
-	t.dim = dim
 	idx := make([]int, len(x))
 	for i := range idx {
 		idx[i] = i
 	}
-	t.root = t.grow(x, y, idx, 0)
-	return nil
+	return t.FitBootstrap(Encode(x), y, idx)
 }
 
-// FitBootstrap grows the tree on a provided index multiset (used by
-// random forests to pass bagged samples without copying rows). It
-// bypasses the single-class error: a single-class bag yields a
-// single-leaf tree.
-func (t *Tree) FitBootstrap(x [][]float64, y []int, idx []int) error {
-	if len(x) == 0 || len(idx) == 0 {
+// FitBootstrap grows the tree on the rows of e listed in idx, an index
+// multiset (random forests pass bagged samples this way, sharing one
+// Encoding, without copying rows), with y holding 0/1 labels. It
+// reorders idx. It bypasses the single-class error: a single-class bag
+// yields a single-leaf tree.
+func (t *Tree) FitBootstrap(e *Encoding, y []int, idx []int) error {
+	if e.n == 0 || len(idx) == 0 {
 		return ml.ErrNoTrainingData
 	}
-	t.dim = len(x[0])
-	t.root = t.grow(x, y, idx, 0)
+	t.dim = e.dim
+	t.root = newGrower(t, e, y).grow(idx, 0)
 	return nil
 }
 
-func leafProba(y []int, idx []int) float64 {
-	if len(idx) == 0 {
-		return 0.5
-	}
-	ones := 0
-	for _, i := range idx {
-		ones += y[i]
-	}
-	// Raw class fractions, matching scikit-learn: pure leaves emit hard
-	// 0/1 probabilities, which keeps confidence thresholds like
-	// TransER's t_p = 0.99 attainable.
-	return float64(ones) / float64(len(idx))
+// Encoding ranks each feature's values once per fit, so that a split
+// search counts labels per distinct value instead of sorting the rows
+// of every node. It is read-only once built.
+type Encoding struct {
+	n, dim int
+	// vals[f] holds feature f's distinct non-NaN values in ascending
+	// order; −0 and +0 are one value.
+	vals [][]float64
+	// codes[f][i] is row i's rank in vals[f], or len(vals[f]) when
+	// x[i][f] is NaN.
+	codes [][]int32
+	// maxRanks is the largest len(vals[f])+1: a count per rank, NaN's
+	// included.
+	maxRanks int
 }
 
-func (t *Tree) grow(x [][]float64, y []int, idx []int, depth int) *node {
+// Encode ranks the features of x, a rectangular matrix (an empty one
+// yields an Encoding that FitBootstrap rejects).
+func Encode(x [][]float64) *Encoding {
+	if len(x) == 0 {
+		return &Encoding{}
+	}
+	n, dim := len(x), len(x[0])
+	e := &Encoding{n: n, dim: dim, vals: make([][]float64, dim), codes: make([][]int32, dim)}
+	codes := make([]int32, n*dim)
+	col := make([]float64, 0, n)
+	for f := range dim {
+		col = col[:0]
+		for _, row := range x {
+			if v := row[f]; v == v {
+				col = append(col, v)
+			}
+		}
+		slices.Sort(col)
+		vals := slices.Clone(slices.Compact(col))
+		c := codes[f*n : (f+1)*n : (f+1)*n]
+		for i, row := range x {
+			r, found := slices.BinarySearch(vals, row[f])
+			if !found {
+				r = len(vals) // NaN
+			}
+			c[i] = int32(r)
+		}
+		e.vals[f], e.codes[f] = vals, c
+		e.maxRanks = max(e.maxRanks, len(vals)+1)
+	}
+	return e
+}
+
+// grower grows one tree over a shared Encoding with scratch reused
+// from node to node.
+type grower struct {
+	t   *Tree
+	enc *Encoding
+	y   []int
+	// counts holds per rank the node's rows in the high 32 bits and
+	// its label-1 rows in the low 32; it is zero between split searches.
+	counts []uint64
+	feats  []int
+}
+
+func newGrower(t *Tree, e *Encoding, y []int) *grower {
+	return &grower{t: t, enc: e, y: y, counts: make([]uint64, e.maxRanks), feats: make([]int, e.dim)}
+}
+
+// grow builds the subtree over idx, partitioning idx in place.
+func (g *grower) grow(idx []int, depth int) *node {
+	n := len(idx)
 	ones := 0
 	for _, i := range idx {
-		ones += y[i]
+		ones += g.y[i]
 	}
-	pure := ones == 0 || ones == len(idx)
-	if pure || depth >= maxDepth || len(idx) < 2*minLeaf {
-		return &node{leaf: true, proba: leafProba(y, idx)}
+	if ones == 0 || ones == n || depth >= maxDepth || n < 2*minLeaf {
+		return leafNode(ones, n)
 	}
-	feat, thr, ok := t.bestSplit(x, y, idx)
+	feat, thr, ok := g.bestSplit(idx, ones)
 	if !ok {
-		return &node{leaf: true, proba: leafProba(y, idx)}
+		return leafNode(ones, n)
 	}
-	var left, right []int
-	for _, i := range idx {
-		if x[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	vals, codes := g.enc.vals[feat], g.enc.codes[feat]
+	nl := 0
+	for k, i := range idx {
+		if vals[codes[i]] <= thr {
+			idx[nl], idx[k] = i, idx[nl]
+			nl++
 		}
 	}
-	if len(left) < minLeaf || len(right) < minLeaf {
-		return &node{leaf: true, proba: leafProba(y, idx)}
+	if nl < minLeaf || n-nl < minLeaf {
+		return leafNode(ones, n)
 	}
 	return &node{
 		feature:   feat,
 		threshold: thr,
-		left:      t.grow(x, y, left, depth+1),
-		right:     t.grow(x, y, right, depth+1),
+		left:      g.grow(idx[:nl], depth+1),
+		right:     g.grow(idx[nl:], depth+1),
 	}
 }
 
+// leafNode is a leaf over n rows, ones of them label 1. Its
+// probability is the raw class fraction, matching scikit-learn: pure
+// leaves emit hard 0/1 probabilities, which keeps confidence thresholds
+// like TransER's t_p = 0.99 attainable.
+func leafNode(ones, n int) *node {
+	return &node{leaf: true, proba: float64(ones) / float64(n)}
+}
+
 // bestSplit finds the (feature, threshold) pair minimising weighted
-// Gini impurity over candidate features. Per feature it sorts the
-// label-1 and the label-0 values apart and merge-scans the two lists:
-// after each distinct value v, the counts left of the split are the
-// merge positions, and the threshold is the midpoint of v and the next
-// distinct value, as a scan over one sorted (value, label) list finds.
-func (t *Tree) bestSplit(x [][]float64, y []int, idx []int) (feat int, thr float64, ok bool) {
-	features := t.candidateFeatures()
-	bestGini := gini(y, idx) // must strictly improve on the parent
+// Gini impurity over candidate features; ones is the number of label-1
+// rows in idx. Per feature it counts the rows and label-1 rows at each
+// rank, then scans the ranks present in ascending order: the split
+// after a rank leaves every row up to it on the left, and its
+// threshold is the midpoint of that rank's value and the next present
+// one. A feature that is NaN in any row of the node is not split.
+func (g *grower) bestSplit(idx []int, ones int) (feat int, thr float64, ok bool) {
 	n := len(idx)
-	ones := make([]float64, 0, n)
-	zeros := make([]float64, 0, n)
-	for _, f := range features {
-		ones, zeros = ones[:0], zeros[:0]
+	bestGini := giniCounts(ones, n) // must strictly improve on the parent
+	counts := g.counts
+	for _, f := range g.t.candidateFeatures(g.feats) {
+		codes, vals := g.enc.codes[f], g.enc.vals[f]
+		lo, hi := int32(len(vals)), int32(0)
 		for _, i := range idx {
-			if y[i] == 1 {
-				ones = append(ones, x[i][f])
-			} else {
-				zeros = append(zeros, x[i][f])
+			c := codes[i]
+			counts[c] += 1<<32 | uint64(g.y[i])
+			lo, hi = min(lo, c), max(hi, c)
+		}
+		if int(hi) < len(vals) { // no NaN, which takes rank len(vals)
+			prev := lo
+			nl, a := int(counts[lo]>>32), int(uint32(counts[lo])) // rows, label-1 rows left of the split
+			for r := lo + 1; r <= hi; r++ {
+				c := counts[r]
+				if c == 0 {
+					continue
+				}
+				nr := n - nl
+				gl := giniCounts(a, nl)
+				gr := giniCounts(ones-a, nr)
+				gi := (float64(nl)*gl + float64(nr)*gr) / float64(n)
+				if gi < bestGini-1e-12 {
+					bestGini = gi
+					feat = f
+					thr = (vals[prev] + vals[r]) / 2
+					ok = true
+				}
+				nl += int(c >> 32)
+				a += int(uint32(c))
+				prev = r
 			}
 		}
-		slices.Sort(ones)
-		slices.Sort(zeros)
-		totalOnes := len(ones)
-		a, b := 0, 0 // label-1 and label-0 values left of the split
-		for a+b < n {
-			// Step past every value not above v: the values equal to v,
-			// or, when v is NaN (slices.Sort puts NaNs first), all of
-			// them, so NaN features end the scan instead of stalling it.
-			v := nextValue(ones, zeros, a, b)
-			for a < len(ones) && !(ones[a] > v) {
-				a++
-			}
-			for b < len(zeros) && !(zeros[b] > v) {
-				b++
-			}
-			nl := a + b
-			if nl == n {
-				break
-			}
-			nr := n - nl
-			gl := giniCounts(a, nl)
-			gr := giniCounts(totalOnes-a, nr)
-			g := (float64(nl)*gl + float64(nr)*gr) / float64(n)
-			if g < bestGini-1e-12 {
-				bestGini = g
-				feat = f
-				thr = (v + nextValue(ones, zeros, a, b)) / 2
-				ok = true
-			}
-		}
+		clear(counts[lo : hi+1])
 	}
 	return feat, thr, ok
 }
 
-// nextValue is the smaller of ones[a] and zeros[b], skipping a list
-// that is used up; one of them must not be.
-func nextValue(ones, zeros []float64, a, b int) float64 {
-	switch {
-	case a == len(ones):
-		return zeros[b]
-	case b == len(zeros):
-		return ones[a]
-	}
-	return min(ones[a], zeros[b])
-}
-
-func (t *Tree) candidateFeatures() []int {
-	all := make([]int, t.dim)
+// candidateFeatures returns the features one split search considers,
+// in ascending order, using all (of length dim) as its buffer.
+func (t *Tree) candidateFeatures(all []int) []int {
 	for i := range all {
 		all[i] = i
 	}
@@ -213,14 +252,6 @@ func (t *Tree) candidateFeatures() []int {
 	sub := all[:t.cfg.MaxFeatures]
 	sort.Ints(sub)
 	return sub
-}
-
-func gini(y []int, idx []int) float64 {
-	ones := 0
-	for _, i := range idx {
-		ones += y[i]
-	}
-	return giniCounts(ones, len(idx))
 }
 
 func giniCounts(ones, n int) float64 {

@@ -29,14 +29,24 @@ type SpanID [8]byte
 // IsZero reports whether the trace ID is the invalid all-zero value.
 func (t TraceID) IsZero() bool { return t == TraceID{} }
 
-// String renders the trace ID as 32 lower-case hex digits.
-func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
+// String renders the trace ID as 32 lower-case hex digits, with one
+// allocation: the string itself.
+func (t TraceID) String() string {
+	var b [2 * len(t)]byte
+	hex.Encode(b[:], t[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the span ID is the invalid all-zero value.
 func (s SpanID) IsZero() bool { return s == SpanID{} }
 
-// String renders the span ID as 16 lower-case hex digits.
-func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+// String renders the span ID as 16 lower-case hex digits, with one
+// allocation: the string itself.
+func (s SpanID) String() string {
+	var b [2 * len(s)]byte
+	hex.Encode(b[:], s[:])
+	return string(b[:])
+}
 
 // TraceContext is one request's correlation identity: the trace ID
 // shared by every participant and the span ID of the current hop.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -86,4 +87,24 @@ func TestContextCarry(t *testing.T) {
 	if !ok || got != tc {
 		t.Fatalf("context carry: got %+v ok=%v", got, ok)
 	}
+}
+
+// TestIDStringAllocatesOnce: each ID renders with one allocation, the
+// string itself, and as the same hex digits encoding/hex gives.
+func TestIDStringAllocatesOnce(t *testing.T) {
+	tc := NewTraceContext()
+	if got, want := tc.TraceID.String(), hex.EncodeToString(tc.TraceID[:]); got != want {
+		t.Fatalf("TraceID.String() = %q, want %q", got, want)
+	}
+	if got, want := tc.SpanID.String(), hex.EncodeToString(tc.SpanID[:]); got != want {
+		t.Fatalf("SpanID.String() = %q, want %q", got, want)
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = tc.TraceID.String() }); n != 1 {
+		t.Errorf("TraceID.String allocates %.1f times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = tc.SpanID.String() }); n != 1 {
+		t.Errorf("SpanID.String allocates %.1f times, want 1", n)
+	}
+	_ = sink
 }
