@@ -120,6 +120,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/stream/
 	$(GO) test -run '^$$' -fuzz '^FuzzArtifactDecode$$' -fuzztime $(FUZZTIME) ./internal/model/
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoid$$' -fuzztime $(FUZZTIME) ./internal/linalg/
+	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime $(FUZZTIME) ./internal/seeded/
 
 # Query-engine benchmark: one batch similarity join at serial and full
 # parallelism, each run's operator spans condensed into one

@@ -42,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,6 +51,7 @@ import (
 	"transer/internal/dataset"
 	"transer/internal/model"
 	"transer/internal/obs"
+	"transer/internal/seeded"
 	"transer/internal/stream"
 	"transer/internal/testkit/streamdiff"
 )
@@ -262,7 +262,7 @@ func run() error {
 	}
 
 	if *selfcheck >= 0 {
-		rng := rand.New(rand.NewSource(*seed))
+		rng := seeded.New(*seed)
 		tb := &cliTB{}
 		ok := streamdiff.Check(tb, ctx, db, cfg, rng, *selfcheck)
 		doc.SelfCheck = &SelfCheck{Orders: *selfcheck + 1, OK: ok}

@@ -11,9 +11,9 @@ package blocking
 
 import (
 	"hash/fnv"
-	"math/rand"
 
 	"transer/internal/dataset"
+	"transer/internal/seeded"
 	"transer/internal/strutil"
 )
 
@@ -82,7 +82,7 @@ type minHasher struct {
 }
 
 func newMinHasher(n int, seed int64) *minHasher {
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	h := &minHasher{a: make([]uint64, n), b: make([]uint64, n)}
 	for i := 0; i < n; i++ {
 		h.a[i] = uint64(rng.Int63n(mersennePrime-1)) + 1

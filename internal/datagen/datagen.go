@@ -24,6 +24,7 @@ import (
 	"strconv"
 
 	"transer/internal/dataset"
+	"transer/internal/seeded"
 )
 
 // Kind selects the domain template (schema + entity model).
@@ -167,7 +168,7 @@ func Generate(spec Spec) (a, b *dataset.Database) {
 	if spec.NumEntities <= 0 {
 		panic("datagen: NumEntities must be positive")
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	rng := seeded.New(spec.Seed)
 	model := modelFor(spec.Kind, newVocabSet(spec.Vocab, rng))
 	sch := model.schema()
 

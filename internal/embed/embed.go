@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 
+	"transer/internal/seeded"
 	"transer/internal/strutil"
 )
 
@@ -25,9 +26,10 @@ type Embedder struct {
 	// Seed decorrelates embedders.
 	Seed int64
 
-	// words memoises word: seeding the per-token generator costs more
-	// than the rest of the embedding, and tokens recur across values.
+	// words memoises word: tokens recur across values.
 	words map[string][]float64
+	// rng is re-seeded for every distinct token.
+	rng *rand.Rand
 }
 
 // New creates an embedder with the given dimensionality; dim must be
@@ -43,11 +45,16 @@ func New(dim int, seed int64) *Embedder {
 func (e *Embedder) hashVec(s string) []float64 {
 	f := fnv.New64a()
 	f.Write([]byte(s))
-	rng := rand.New(rand.NewSource(int64(f.Sum64()) ^ e.Seed))
+	seed := int64(f.Sum64()) ^ e.Seed
+	if e.rng == nil {
+		e.rng = seeded.New(seed)
+	} else {
+		e.rng.Seed(seed)
+	}
 	v := make([]float64, e.Dim)
 	norm := 0.0
 	for i := range v {
-		v[i] = rng.NormFloat64()
+		v[i] = e.rng.NormFloat64()
 		norm += v[i] * v[i]
 	}
 	norm = math.Sqrt(norm)

@@ -1,7 +1,10 @@
 package embed
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -38,6 +41,53 @@ func TestWordMemoBitwiseMatchesHash(t *testing.T) {
 	for i := range cold {
 		if math.Float64bits(warm[i]) != math.Float64bits(cold[i]) {
 			t.Fatalf("Value through a warm memo differs at %d: %v vs %v", i, warm[i], cold[i])
+		}
+	}
+}
+
+// hashVecReference is hashVec as it was before the generator became
+// seeded's: a fresh math/rand source per token. It is the oracle of
+// TestEmbedderBitwiseMatchesMathRandOracle.
+func hashVecReference(dim int, seed int64, s string) []float64 {
+	f := fnv.New64a()
+	f.Write([]byte(s))
+	rng := rand.New(rand.NewSource(int64(f.Sum64()) ^ seed))
+	v := make([]float64, dim)
+	norm := 0.0
+	for i := range v {
+		v[i] = rng.NormFloat64()
+		norm += v[i] * v[i]
+	}
+	norm = math.Sqrt(norm)
+	if norm > 0 {
+		for i := range v {
+			v[i] /= norm
+		}
+	}
+	return v
+}
+
+// TestEmbedderBitwiseMatchesMathRandOracle: one Embedder, re-seeding
+// its generator for each of a few thousand distinct tokens, gives every
+// word the vector a fresh math/rand source gives, bit for bit.
+func TestEmbedderBitwiseMatchesMathRandOracle(t *testing.T) {
+	for _, c := range []struct {
+		dim  int
+		seed int64
+	}{{8, 0}, {8, 1}, {16, -7}, {3, math.MinInt64}, {700, 42}} {
+		e := New(c.dim, c.seed)
+		n := 3000
+		if c.dim > 100 {
+			n = 50 // 700 draws per token cross every register wrap
+		}
+		for k := 0; k < n; k++ {
+			tok := fmt.Sprintf("tok%d-%c", k, rune('a'+k%26))
+			got, want := e.word(tok), hashVecReference(c.dim, c.seed, "w:"+tok)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("dim %d seed %d: word(%q)[%d] = %v, math/rand oracle %v", c.dim, c.seed, tok, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

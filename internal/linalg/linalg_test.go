@@ -327,7 +327,7 @@ func BenchmarkMatMul64(b *testing.B) {
 }
 
 // forwardSolveMatrixReference is ForwardSolveMatrix before it solved
-// into a transposed buffer, kept as its oracle: the same subtractions
+// row by row through Axpy, kept as its oracle: the same subtractions
 // in the same order, through At/Set down the columns of X.
 func forwardSolveMatrixReference(l, b *Matrix) (*Matrix, error) {
 	n := l.Rows
@@ -361,9 +361,13 @@ func randomMatrix(rows, cols int, seed int64) *Matrix {
 // TestForwardSolveMatrixBitwiseMatchesOracle: on Cholesky factors of
 // TCA-sized kernels and on random lower-triangular systems, with
 // square, narrow, wide and empty right-hand sides, the solve equals
-// the column-walking oracle bit for bit, and a zero pivot is
-// ErrSingular on both.
+// the column-walking oracle bit for bit on both kernel paths, and a
+// zero pivot is ErrSingular on both.
 func TestForwardSolveMatrixBitwiseMatchesOracle(t *testing.T) {
+	eachKernelPath(t, testForwardSolveMatrixBitwise)
+}
+
+func testForwardSolveMatrixBitwise(t *testing.T) {
 	chol := func(n int, seed int64) *Matrix {
 		a := rbfKernel(n, 4, 0.25, seed).Add(Identity(n))
 		l, err := Cholesky(a)

@@ -303,31 +303,35 @@ func LUSolve(a *Matrix, b []float64) ([]float64, error) {
 }
 
 // ForwardSolveMatrix solves L X = B for a lower-triangular L with
-// non-zero diagonal, column by column in O(n²) per column.
+// non-zero diagonal, row by row in O(n²) per column of B.
 func ForwardSolveMatrix(l, b *Matrix) (*Matrix, error) {
 	l.mustSquare()
 	n := l.Rows
 	if b.Rows != n {
 		panic("linalg: rhs row count mismatch")
 	}
-	// Row c of xt is column c of X, so the inner product over k reads
-	// two contiguous rows instead of walking a column of X.
-	xt := b.T()
-	for c := 0; c < b.Cols; c++ {
-		xc := xt.Row(c)
-		for i := 0; i < n; i++ {
-			s := xc[i]
-			for k, lik := range l.Data[i*n : i*n+i] {
-				s -= lik * xc[k]
-			}
-			d := l.Data[i*n+i]
-			if math.Abs(d) < 1e-14 {
-				return nil, ErrSingular
-			}
-			xc[i] = s / d
+	// Row i of X is row i of B less l_ik times row k of X for each
+	// k < i in turn, divided by l_ii. Axpy subtracts along a whole row:
+	// s + (−l_ik)·x rounds as s − l_ik·x does, so every entry sees the
+	// subtractions of a column-by-column solve in the same order.
+	x := b.Clone()
+	if b.Cols == 0 {
+		return x, nil
+	}
+	for i := 0; i < n; i++ {
+		d := l.Data[i*n+i]
+		if math.Abs(d) < 1e-14 {
+			return nil, ErrSingular
+		}
+		xi := x.Row(i)
+		for k, lik := range l.Data[i*n : i*n+i] {
+			Axpy(xi, x.Row(k), -lik)
+		}
+		for j := range xi {
+			xi[j] /= d
 		}
 	}
-	return xt.T(), nil
+	return x, nil
 }
 
 // BackSolveMatrix solves U X = B for an upper-triangular U with

@@ -8,10 +8,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"transer/internal/ml"
 	"transer/internal/ml/tree"
+	"transer/internal/seeded"
 )
 
 // Config holds what varies between forests; the ensemble size is the
@@ -51,7 +51,7 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 	if maxFeat < 1 {
 		maxFeat = 1
 	}
-	rng := rand.New(rand.NewSource(f.cfg.Seed))
+	rng := seeded.New(f.cfg.Seed)
 	n := len(x)
 	enc := tree.Encode(x)
 	idx := make([]int, n)

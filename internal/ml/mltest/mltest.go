@@ -7,18 +7,18 @@ package mltest
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"transer/internal/linalg"
 	"transer/internal/ml"
+	"transer/internal/seeded"
 )
 
 // TwoBlobs generates a linearly separable-ish binary problem: class 1
 // centred at (0.8, ..., 0.8), class 0 at (0.2, ..., 0.2), with the
 // given Gaussian spread. Returns n rows of dimension dim.
 func TwoBlobs(n, dim int, spread float64, seed int64) (x [][]float64, y []int) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	x = make([][]float64, n)
 	y = make([]int, n)
 	for i := range x {
@@ -46,7 +46,7 @@ func TwoBlobs(n, dim int, spread float64, seed int64) (x [][]float64, y []int) {
 // XOR generates the classic non-linearly-separable XOR problem in 2D
 // with jitter, for testing non-linear classifiers.
 func XOR(n int, jitter float64, seed int64) (x [][]float64, y []int) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	x = make([][]float64, n)
 	y = make([]int, n)
 	for i := range x {

@@ -2,9 +2,9 @@ package nn
 
 import (
 	"errors"
-	"math/rand"
 
 	"transer/internal/linalg"
+	"transer/internal/seeded"
 )
 
 // DANNConfig holds what varies between domain-adversarial networks;
@@ -59,7 +59,7 @@ func (d *DANN) FitDomains(xSrc [][]float64, ySrc []int, xTgt [][]float64) error 
 		return errors.New("nn: source rows and labels differ in length")
 	}
 	dim := len(xSrc[0])
-	rng := rand.New(rand.NewSource(d.cfg.Seed))
+	rng := seeded.New(d.cfg.Seed)
 	d.encoder = newDense(dim, encoderHidden, true, rng)
 	d.label = newDense(encoderHidden, 1, false, rng)
 	d.domain = newDense(encoderHidden, 1, false, rng)

@@ -7,10 +7,10 @@ package svm
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 
 	"transer/internal/linalg"
 	"transer/internal/ml"
+	"transer/internal/seeded"
 )
 
 // Config holds what varies between SVMs; the hyper-parameters are
@@ -55,7 +55,7 @@ func (s *SVM) Fit(x [][]float64, y []int) error {
 	}
 	s.w = make([]float64, dim)
 	s.bias = 0
-	rng := rand.New(rand.NewSource(s.cfg.Seed))
+	rng := seeded.New(s.cfg.Seed)
 	n := len(x)
 	// Inverse-frequency class weights balance the hinge updates, which
 	// keeps the SVM from collapsing to the majority class on the

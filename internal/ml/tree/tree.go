@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"transer/internal/ml"
+	"transer/internal/seeded"
 )
 
 // Config holds what varies between trees; the depth and leaf limits
@@ -52,7 +53,7 @@ type node struct {
 
 // New creates an untrained tree with the given configuration.
 func New(cfg Config) *Tree {
-	return &Tree{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Tree{cfg: cfg, rng: seeded.New(cfg.Seed)}
 }
 
 // Factory returns an ml.Factory producing trees with this config.
@@ -370,7 +371,7 @@ func (t *Tree) SetParams(b []byte) error {
 	if err != nil {
 		return err
 	}
-	t.rng = rand.New(rand.NewSource(t.cfg.Seed))
+	t.rng = seeded.New(t.cfg.Seed)
 	t.dim = p.Dim
 	t.root = root
 	return nil

@@ -4,7 +4,7 @@
 // the Figure 6 experiment, and stratified splits for tests.
 package sampling
 
-import "math/rand"
+import "transer/internal/seeded"
 
 // UnderSample keeps all minority-class (match) rows and down-samples
 // the majority class (non-match) so that the non-match : match ratio
@@ -28,7 +28,7 @@ func UnderSample(x [][]float64, y []int, ratio float64, seed int64) ([][]float64
 	if len(nonIdx) <= maxNon || len(matchIdx) == 0 {
 		return x, y
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	keep := rng.Perm(len(nonIdx))[:maxNon]
 	keepSet := make(map[int]bool, maxNon)
 	for _, k := range keep {
@@ -58,7 +58,7 @@ func StratifiedFraction(x [][]float64, y []int, frac float64, seed int64) ([][]f
 	if frac <= 0 || len(x) == 0 {
 		return nil, nil
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	keepSet := make(map[int]bool)
 	for _, class := range []int{0, 1} {
 		var idx []int

@@ -30,6 +30,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"transer/internal/seeded"
 )
 
 // Trial sizing: sizes ramp linearly from MinSize to MaxSize across the
@@ -123,7 +125,7 @@ func (t *T) Failed() bool { return t.failed }
 // runTrial executes prop once with a fresh T and returns it.
 func runTrial(seed int64, size int, prop func(*T)) (trial *T) {
 	trial = &T{
-		Rng:  rand.New(rand.NewSource(seed)),
+		Rng:  seeded.New(seed),
 		Seed: seed,
 		Size: size,
 	}

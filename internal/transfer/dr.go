@@ -10,6 +10,7 @@ import (
 	"transer/internal/kdtree"
 	"transer/internal/ml"
 	"transer/internal/obs"
+	"transer/internal/seeded"
 )
 
 // DR implements the Reuse-and-Adaptation baseline of Thirumuruganathan
@@ -72,7 +73,7 @@ func (c DR) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	// weight), then resample the source proportionally. Densities are
 	// estimated against subsampled reference sets (drMaxWeightRef).
 	stage = sp.Child("weight")
-	refRng := rand.New(rand.NewSource(c.Seed + 1))
+	refRng := seeded.New(c.Seed + 1)
 	srcIx := kdtree.NewWeightedIndex(kdtree.Uniq(subsampleRows(refRng, zs, drMaxWeightRef)))
 	tgtIx := kdtree.NewWeightedIndex(kdtree.Uniq(subsampleRows(refRng, zt, drMaxWeightRef)))
 	weights := make([]float64, len(zs))
@@ -198,7 +199,7 @@ func resampleWeightedN(x [][]float64, y []int, w []float64, seed int64, n int) (
 		acc += v
 		cum[i] = acc
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	outX := make([][]float64, n)
 	outY := make([]int, n)
 	for i := range outX {

@@ -2,12 +2,12 @@ package transfer
 
 import (
 	"math"
-	"math/rand"
 
 	"transer/internal/kdtree"
 	"transer/internal/ml"
 	"transer/internal/ml/svm"
 	"transer/internal/obs"
+	"transer/internal/seeded"
 )
 
 // LocIT implements the instance-selection part of Localized Instance
@@ -102,7 +102,7 @@ func (c LocIT) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	}
 	stage := sp.Child("neighbours")
 	defer func() { stage.End() }()
-	rng := rand.New(rand.NewSource(c.Seed))
+	rng := seeded.New(c.Seed)
 	ix := kdtree.NewWeightedIndex(kdtree.Uniq(t.XT))
 
 	// Build the transfer classifier's training set from the target.

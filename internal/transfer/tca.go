@@ -8,6 +8,7 @@ import (
 	"transer/internal/linalg"
 	"transer/internal/ml"
 	"transer/internal/obs"
+	"transer/internal/seeded"
 )
 
 // TCA implements Transfer Component Analysis (Pan et al., 2011): learn
@@ -59,7 +60,7 @@ func (c TCA) Prepare(t *Task, sp *obs.Span) (Prepared, error) {
 	// Landmark selection: an even split of source and target rows.
 	stage := sp.Child("kernel")
 	defer func() { stage.End() }()
-	rng := rand.New(rand.NewSource(c.Seed))
+	rng := seeded.New(c.Seed)
 	half := maxL / 2
 	srcIdx := subsample(rng, len(t.XS), half)
 	tgtIdx := subsample(rng, len(t.XT), maxL-len(srcIdx))
